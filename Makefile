@@ -24,7 +24,7 @@ bench:
 # bench-json runs the benchmark suite and writes the machine-readable
 # results committed with each PR (name, ns/op, B/op, allocs/op, and the
 # sim-cycles metric). Progress streams to stderr while it runs.
-BENCH_JSON ?= BENCH_PR10.json
+BENCH_JSON ?= BENCH_PR15.json
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 
@@ -39,13 +39,11 @@ bench-diff:
 
 # fuzz-short gives the binary decoders a brief randomized shakedown;
 # the corpus seeds cover real recorded payloads plus known-malformed
-# shapes. Three decoders run: the scalar trace replay decoder, the
-# vectorized program decoder (which must agree with the scalar one op
-# for op), and the columnar result decoder (which must reject every
-# malformed blob without panicking).
+# shapes. Two decoders run: the trace replay decoder and the columnar
+# result decoder (which must reject every malformed blob without
+# panicking).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime 10s ./internal/tracefile
-	$(GO) test -run '^$$' -fuzz FuzzVectorDecode -fuzztime 10s ./internal/tracefile
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/colres
 
 # twin-validate runs every analytical twin against a full simulator
@@ -92,7 +90,7 @@ serve-smoke:
 			{ echo "serve-smoke: /metrics missing: $$want"; cat $$dir/metrics.out; exit 1; }; \
 	done; \
 	$$dir/impulsectl -addr $$addr manifest $$id >$$dir/manifest.json; \
-	grep -qF '"cells_recorded": 3' $$dir/manifest.json || \
+	grep -qF '"cells_executed": 12' $$dir/manifest.json || \
 		{ echo "serve-smoke: bad manifest"; cat $$dir/manifest.json; exit 1; }; \
 	$$dir/impulsectl -addr $$addr trace $$id >$$dir/trace.json; \
 	grep -qF '"traceEvents"' $$dir/trace.json || \
@@ -125,7 +123,7 @@ serve-smoke:
 
 # saturate-smoke is the end-to-end check for the sharded fleet
 # (docs/FLEET.md): boot three worker impulsed shards on persistent
-# archive dirs plus a shared trace dir, front them with a router
+# archive dirs, front them with a router
 # (impulsed -route), drive a concurrent identical-spec burst through
 # the router and assert fleet-wide single-flight by summing
 # service_jobs_executed across the shards (exactly one execution),
@@ -140,7 +138,7 @@ saturate-smoke:
 	$(GO) build -o $$dir/impulsectl ./cmd/impulsectl; \
 	for i in 0 1 2; do \
 		$$dir/impulsed -addr 127.0.0.1:0 -addr-file $$dir/addr$$i -exec 2 \
-			-archive-dir $$dir/arch$$i -trace-dir $$dir/traces \
+			-archive-dir $$dir/arch$$i \
 			2>$$dir/shard$$i.log & eval p$$i=$$!; \
 	done; \
 	for i in 0 1 2; do \
@@ -200,9 +198,7 @@ saturate-smoke:
 # detector over the short suite, a short decoder fuzz, the analytical
 # twin validation (fast geometry, hard error bounds), the service and
 # fleet smoke tests, and a warn-only benchmark diff against the committed
-# baseline — including the vector-replay K-sweep
-# (BenchmarkVectorReplay/K=*) so a per-lane apply regression prints
-# loudly. Benchmarks on shared CI hosts are too noisy to be a hard
+# baseline. Benchmarks on shared CI hosts are too noisy to be a hard
 # gate; a regression warns but does not fail the build — see
 # docs/PERF.md. Run it before every PR.
 ci:

@@ -10,7 +10,6 @@ import (
 
 	"impulse"
 	"impulse/internal/obs"
-	"impulse/internal/sim"
 	"impulse/internal/workloads"
 )
 
@@ -78,50 +77,5 @@ func TestCellSetupAllocBudget(t *testing.T) {
 	const budget = 1200
 	if avg := testing.AllocsPerRun(5, cell); avg > budget {
 		t.Errorf("warm sweep cell allocates %.0f per run, budget %d", avg, budget)
-	}
-}
-
-// TestVectorApplyAllocs requires the vectorized replay applier to
-// allocate nothing per applied operation: a decoded run of loads and
-// stores over resident lines, interleaved with ticks, must commit with
-// zero allocations however long it is. This is the per-op half of the
-// vector replay budget (the per-batch decode amortizes separately).
-func TestVectorApplyAllocs(t *testing.T) {
-	s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := s.MustAlloc(4096, 0)
-	s.SetFunctional(false)
-	defer s.SetFunctional(true)
-	ap := sim.NewVecApplier(s.Machine)
-	defer ap.Close()
-	if !ap.Inline() {
-		t.Fatal("applier did not engage inline paths on a bare machine")
-	}
-	const n = 512
-	args := make([]uint64, n)
-	aux := make([]uint32, n)
-	ticks := make([]uint64, 4)
-	for i := range args {
-		args[i] = uint64(x) + uint64(i%64)*8
-		if i%7 == 0 {
-			aux[i] = 2
-		}
-	}
-	for i := range ticks {
-		ticks[i] = 3
-	}
-	// Prime residency (first pass faults the lines in through the
-	// reference path and populates the fast table).
-	ap.ApplyRun(sim.VecLoad64, args, aux)
-	for name, run := range map[string]func(){
-		"loads":  func() { ap.ApplyRun(sim.VecLoad64, args, aux) },
-		"stores": func() { ap.ApplyRun(sim.VecStore64, args, aux) },
-		"ticks":  func() { ap.ApplyRun(sim.VecTick, ticks, aux[:4]) },
-	} {
-		if avg := testing.AllocsPerRun(200, run); avg != 0 {
-			t.Errorf("vector %s run allocates %.2f per run, want 0", name, avg)
-		}
 	}
 }

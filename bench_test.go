@@ -208,8 +208,8 @@ func BenchmarkSuperpage(b *testing.B) {
 
 // BenchmarkSchedulerAblation compares the in-order DRAM scheduler the
 // paper evaluated with the reordering scheduler it sketched (§2.2).
-// The trace cache is reset each iteration so every iteration measures
-// the one-shot record-plus-replay cost, not warm-cache replay.
+// The cell memo is reset each iteration so every iteration simulates
+// every cell instead of reusing the first iteration's rows.
 func BenchmarkSchedulerAblation(b *testing.B) {
 	par := impulse.CGParams{N: 2048, Nonzer: 5, Niter: 1, CGIts: 2, Shift: 10, RCond: 0.1}
 	for i := 0; i < b.N; i++ {
@@ -220,18 +220,12 @@ func BenchmarkSchedulerAblation(b *testing.B) {
 	}
 }
 
-// benchTable1Family runs the full Table 1 family (12 cells spanning 3
-// reference streams) with the trace cache on or off. With the cache on,
-// each stream executes once under a recorder and the other nine cells
-// replay; the cache is reset per iteration so the recording cost is
-// included every time.
-func benchTable1Family(b *testing.B, cacheOn bool) {
-	was := harness.TraceCacheEnabled()
-	defer harness.SetTraceCache(was)
-	harness.SetTraceCache(cacheOn)
+// BenchmarkTable1Family runs the full Table 1 family (12 cells, each its
+// own pool task) through the harness, as cmd/table1 does. The cell memo
+// is reset per iteration so every iteration simulates all 12 cells.
+func BenchmarkTable1Family(b *testing.B) {
 	par := impulse.CGParams{N: 2048, Nonzer: 5, Niter: 1, CGIts: 2, Shift: 10, RCond: 0.1}
 	var cycles uint64
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		harness.ResetTraceCache()
 		g, err := impulse.Table1(par, nil)
@@ -242,13 +236,6 @@ func benchTable1Family(b *testing.B, cacheOn bool) {
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")
 }
-
-// BenchmarkTable1TraceCacheOn and ...Off measure the tentpole
-// optimisation: the same sweep family with and without trace-cached
-// replay. Output is byte-identical either way (the differential tests
-// in internal/tracefile pin that); only the wall clock differs.
-func BenchmarkTable1TraceCacheOn(b *testing.B)  { benchTable1Family(b, true) }
-func BenchmarkTable1TraceCacheOff(b *testing.B) { benchTable1Family(b, false) }
 
 // --- Host-side microbenchmarks of the simulator itself -----------------
 

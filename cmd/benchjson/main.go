@@ -161,7 +161,7 @@ func diff(w io.Writer, baselinePath string, fresh []record, thresholdPct float64
 
 // twinCompare prints the analytical-tier headline whenever the record
 // set carries both sides of a twin pair: the twin's full-prediction
-// latency (TwinPredict/family) against the cache-miss simulation of the
+// latency (TwinPredict/family) against the cold-memo simulation of the
 // same family at the same geometry (TwinSimBaseline/family).
 func twinCompare(w io.Writer, recs []record) {
 	byName := make(map[string]record, len(recs))
@@ -179,7 +179,7 @@ func twinCompare(w io.Writer, recs []record) {
 			continue
 		}
 		if !printed {
-			fmt.Fprintln(w, "twin vs sim latency (fast geometry, trace cache cold):")
+			fmt.Fprintln(w, "twin vs sim latency (fast geometry, cell memo cold):")
 			printed = true
 		}
 		fmt.Fprintf(w, "  %-12s twin %12.0f ns/op   sim %14.0f ns/op   %.0fx\n",

@@ -51,11 +51,8 @@ func main() {
 	archiveBytes := flag.Int64("archive-bytes", 256<<20, "byte budget for archived columnar result blobs (LRU evicts beyond it)")
 	archiveDir := flag.String("archive-dir", "", "directory for archived result blobs (empty: private temp dir, removed on exit)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "harness worker goroutines per running job")
-	traceCache := flag.Bool("trace-cache", true, "share recorded reference streams across cells and jobs")
-	vectorReplay := flag.Bool("vector-replay", true, "replay each cell family through one shared trace decode (needs -trace-cache)")
-	traceRecord := flag.String("trace-record", "", "persist recorded traces to this directory")
+	traceRecord := flag.String("trace-record", "", "record each reference stream once and persist it to this directory")
 	traceReplay := flag.String("trace-replay", "", "load previously persisted traces from this directory")
-	traceDir := flag.String("trace-dir", "", "shorthand for -trace-record and -trace-replay on one directory (the fleet's shared trace cache)")
 	route := flag.String("route", "", "comma-separated shard URLs (name=url or bare url): serve as a fleet router over these backends instead of executing locally")
 	cyclesPerSec := flag.Float64("fleet-cycles-per-sec", 0, "with -route: simulated cycles one shard executor burns per wall second (Retry-After calibration; 0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long graceful shutdown waits for in-flight jobs")
@@ -83,20 +80,10 @@ func main() {
 	log := slog.New(handler)
 	slog.SetDefault(log)
 
-	if *traceDir != "" {
-		if *traceRecord == "" {
-			*traceRecord = *traceDir
-		}
-		if *traceReplay == "" {
-			*traceReplay = *traceDir
-		}
-	}
 	impulse.SetWorkers(*jobs)
-	impulse.SetTraceCache(*traceCache)
-	impulse.SetVectorReplay(*vectorReplay)
 	impulse.SetTraceRecordDir(*traceRecord)
 	impulse.SetTraceReplayDir(*traceReplay)
-	// Route one-shot advisory notes (e.g. trace-cache ineligibility)
+	// Route one-shot advisory notes (e.g. trace persistence failures)
 	// through the structured log instead of bare stderr. Notes fired
 	// inside a job carry its id (obs.WarnOnceCtx).
 	obs.SetWarnOutput(warnWriter{log})
@@ -159,7 +146,7 @@ func main() {
 	}
 	log.Info("listening", "url", "http://"+actual, "queue", *queueDepth, "exec", *executors,
 		"cache", *cacheSize, "archive_bytes", *archiveBytes, "workers", *jobs,
-		"trace_cache", *traceCache, "slow_job", slowJob.String())
+		"slow_job", slowJob.String())
 
 	srv := &http.Server{Handler: httpHandler}
 	serveErr := make(chan error, 1)

@@ -30,14 +30,10 @@ func main() {
 	svg := flag.String("svg", "", "also write the Table 1/2 speedup charts as SVG files with this prefix")
 	counters := flag.String("counters", "", "dump every measured row's counters to this file after the run (\"-\" for stdout)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for experiment rows (output is identical for any value)")
-	traceCache := flag.Bool("trace-cache", true, "record each reference stream once and replay it across timing-only cells")
-	vectorReplay := flag.Bool("vector-replay", true, "replay each cell family through one shared trace decode (needs -trace-cache)")
-	traceRecord := flag.String("trace-record", "", "persist recorded traces to this directory")
+	traceRecord := flag.String("trace-record", "", "record each reference stream once and persist it to this directory")
 	traceReplay := flag.String("trace-replay", "", "load previously persisted traces from this directory")
 	flag.Parse()
 	harness.SetWorkers(*jobs)
-	harness.SetTraceCache(*traceCache)
-	harness.SetVectorReplay(*vectorReplay)
 	harness.SetTraceRecordDir(*traceRecord)
 	harness.SetTraceReplayDir(*traceReplay)
 

@@ -35,9 +35,7 @@ func main() {
 	fast := flag.Bool("fast", false, "reduced geometries (seconds instead of minutes)")
 	counters := flag.String("counters", "", "dump every measured row's counters to this file after the run (\"-\" for stdout)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for experiment rows (output is identical for any value)")
-	traceCache := flag.Bool("trace-cache", true, "record each reference stream once and replay it across timing-only cells")
-	vectorReplay := flag.Bool("vector-replay", true, "replay each cell family through one shared trace decode (needs -trace-cache)")
-	traceRecord := flag.String("trace-record", "", "persist recorded traces to this directory")
+	traceRecord := flag.String("trace-record", "", "record each reference stream once and persist it to this directory")
 	traceReplay := flag.String("trace-replay", "", "load previously persisted traces from this directory")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -50,8 +48,6 @@ func main() {
 	}
 	defer stopProfiles()
 	harness.SetWorkers(*jobs)
-	harness.SetTraceCache(*traceCache)
-	harness.SetVectorReplay(*vectorReplay)
 	harness.SetTraceRecordDir(*traceRecord)
 	harness.SetTraceReplayDir(*traceReplay)
 

@@ -27,14 +27,10 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress output")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of the text table")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for table cells (output is identical for any value)")
-	traceCache := flag.Bool("trace-cache", true, "record each reference stream once and replay it for the other prefetch columns")
-	vectorReplay := flag.Bool("vector-replay", true, "replay each column family through one shared trace decode (needs -trace-cache)")
-	traceRecord := flag.String("trace-record", "", "persist recorded traces to this directory")
+	traceRecord := flag.String("trace-record", "", "record each reference stream once and persist it to this directory")
 	traceReplay := flag.String("trace-replay", "", "load previously persisted traces from this directory")
 	flag.Parse()
 	impulse.SetWorkers(*jobs)
-	impulse.SetTraceCache(*traceCache)
-	impulse.SetVectorReplay(*vectorReplay)
 	impulse.SetTraceRecordDir(*traceRecord)
 	impulse.SetTraceReplayDir(*traceReplay)
 

@@ -141,33 +141,14 @@ func SetWorkers(n int) { harness.SetWorkers(n) }
 // Workers returns the configured experiment pool width.
 func Workers() int { return harness.Workers() }
 
-// SetTraceCache enables or disables the experiment harness's trace
-// cache (the cmd binaries' -trace-cache flag, on by default): sweep
-// families whose cells differ only in timing knobs execute each
-// distinct reference stream once and replay the recorded trace
-// everywhere else, with cycle- and counter-identical results.
-func SetTraceCache(on bool) { harness.SetTraceCache(on) }
-
-// TraceCacheEnabled reports whether the trace cache is on.
-func TraceCacheEnabled() bool { return harness.TraceCacheEnabled() }
-
-// SetVectorReplay enables or disables vectorized batch replay (the cmd
-// binaries' -vector-replay flag, on by default): the cells of a sweep
-// family that share one recorded reference stream replay through a
-// single shared decode instead of re-decoding the trace per cell.
-// Results are byte-identical either way; only host time differs.
-// Effective only while the trace cache is on.
-func SetVectorReplay(on bool) { harness.SetVectorReplay(on) }
-
-// VectorReplayEnabled reports whether replay batches are vectorized.
-func VectorReplayEnabled() bool { return harness.VectorReplayEnabled() }
-
-// SetTraceRecordDir persists every trace the cache records to dir (the
-// -trace-record flag). Empty disables persistence.
+// SetTraceRecordDir makes the first grid cell of each reference stream
+// record the stream and persist it to dir (the -trace-record flag).
+// Empty disables recording.
 func SetTraceRecordDir(dir string) { harness.SetTraceRecordDir(dir) }
 
-// SetTraceReplayDir loads previously persisted traces from dir instead
-// of executing workloads (the -trace-replay flag). Empty disables.
+// SetTraceReplayDir makes grid cells replay previously persisted traces
+// from dir instead of executing workloads (the -trace-replay flag).
+// Empty disables.
 func SetTraceReplayDir(dir string) { harness.SetTraceReplayDir(dir) }
 
 // Table1 regenerates the paper's Table 1 at the given geometry.

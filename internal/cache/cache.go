@@ -194,24 +194,6 @@ func (c *Cache) FastDirty(slot int, la uint64) bool {
 	return true
 }
 
-// FastTouchN applies n additional FastTouch hits to a slot a FastTouch
-// just validated, leaving the cache in the exact state n individual
-// calls would (clock advances n, lastUse lands on the final value). The
-// vector replay applier batches a run of same-line hits this way; the
-// line cannot change between them because nothing else touches the
-// cache inside the run.
-func (c *Cache) FastTouchN(slot int, n uint64) {
-	c.clock += n
-	c.lines[slot].lastUse = c.clock
-}
-
-// FastDirtyN is FastTouchN for store hits (dirty is already set by the
-// validating FastDirty; repeating it is idempotent).
-func (c *Cache) FastDirtyN(slot int, n uint64) {
-	c.clock += n
-	c.lines[slot].lastUse = c.clock
-}
-
 // Contains reports whether the line containing paddr is present, without
 // touching LRU or prefetch state.
 func (c *Cache) Contains(indexAddr, paddr uint64) bool {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -395,5 +396,54 @@ func TestShardsAndReadyz(t *testing.T) {
 	rt.pollAll()
 	if resp, _ := http.Get(ts.URL + "/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with no healthy shard: %d", resp.StatusCode)
+	}
+}
+
+// discardWriter is a ResponseWriter that drops the body, so a test can
+// count what the router itself allocates per proxied response.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+func (d *discardWriter) Flush()                      {}
+
+// TestProxyReadAllocs pins the bytes allocated per proxied result read
+// (router and shard in one process). The router streams bodies through
+// pooled 32 KB buffers; allocating one per read put this read at about
+// 44 KB instead of 12 KB and, through the extra collections, showed up
+// in request latency.
+func TestProxyReadAllocs(t *testing.T) {
+	body := strings.Repeat("Table 1: NAS conjugate gradient result row\n", 100)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		io.WriteString(w, body)
+	})
+	shard := httptest.NewServer(mux)
+	defer shard.Close()
+	rt, _ := newTestRouter(t, []ShardConfig{{Name: "s0", URL: shard.URL}})
+	h := rt.Handler()
+	read := func() {
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/jobs/s0.j-000001/result", nil))
+	}
+	for i := 0; i < 20; i++ {
+		read()
+	}
+	const reads = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / reads
+	t.Logf("%d bytes allocated per proxied %d-byte result read", perRead, len(body))
+	const budget = 24 << 10
+	if perRead > budget {
+		t.Errorf("proxied read allocates %d bytes, budget %d", perRead, budget)
 	}
 }

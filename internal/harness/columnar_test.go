@@ -2,14 +2,11 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"impulse/internal/colres"
-	"impulse/internal/obs"
 )
 
 // TestColumnarGoldenRoundTrip is the schema-equivalence pin for the
@@ -96,53 +93,5 @@ func TestColumnarViewsMatchDirectRenderings(t *testing.T) {
 func TestColumnarEncodeDeterministic(t *testing.T) {
 	if !bytes.Equal(goldenGrid().Columnar(), goldenGrid().Columnar()) {
 		t.Error("same grid encoded to different blobs")
-	}
-}
-
-// TestIneligibleNoteCarriesJobID: the trace-cache ineligibility
-// advisory fires once per process per family through obs.WarnOnceCtx,
-// attributed to the service job whose context triggered it.
-func TestIneligibleNoteCarriesJobID(t *testing.T) {
-	var buf bytes.Buffer
-	obs.SetWarnOutput(&buf)
-	defer obs.SetWarnOutput(nil)
-	obs.ResetWarnings()
-	defer obs.ResetWarnings()
-
-	prev := traceCacheOn
-	SetTraceCache(true)
-	defer SetTraceCache(prev)
-
-	ctx := obs.WithJobID(context.Background(), "j-000042")
-	noteIneligible(ctx, "ipc")
-	got := buf.String()
-	if !strings.Contains(got, "trace-cache: ipc: ineligible") {
-		t.Fatalf("advisory not emitted: %q", got)
-	}
-	// The reason text comes from the registry's Eligibility record.
-	if elig, _ := FamilyEligibility("ipc"); !strings.Contains(got, elig.TraceCache) {
-		t.Errorf("advisory %q lacks registry reason %q", got, elig.TraceCache)
-	}
-	if !strings.Contains(got, "[job j-000042]") {
-		t.Errorf("advisory lacks job attribution: %q", got)
-	}
-
-	// Same family again — even from another job — stays deduplicated.
-	noteIneligible(obs.WithJobID(context.Background(), "j-000043"), "ipc")
-	if buf.String() != got {
-		t.Errorf("advisory repeated for the same family:\n%s", buf.String())
-	}
-
-	// A trace-cacheable family must not advertise ineligibility.
-	noteIneligible(ctx, "sram")
-	if strings.Contains(buf.String(), "sram") {
-		t.Error("advisory fired for an eligible family")
-	}
-
-	// With the cache off the advisory is pointless and must not fire.
-	SetTraceCache(false)
-	noteIneligible(ctx, "db")
-	if strings.Contains(buf.String(), "db") {
-		t.Error("advisory fired with the trace cache disabled")
 	}
 }

@@ -9,16 +9,11 @@ import (
 	"impulse/internal/workloads"
 )
 
-// Eligibility records, per family, which acceleration tiers apply. An
-// empty string means eligible; a non-empty string is the human-readable
-// reason the tier does not apply, surfaced verbatim by the stderr
-// advisories (trace cache) and the service's twin tier. This is the one
-// source of truth — there are deliberately no per-tier switch statements
-// elsewhere.
+// Eligibility records, per family, whether the analytical twin tier
+// applies. This is the one source of truth the service's twin tier and
+// internal/twin read — there are deliberately no per-tier switch
+// statements elsewhere.
 type Eligibility struct {
-	// TraceCache is why recorded cell traces cannot be replayed across
-	// the family's cells ("" = replayable).
-	TraceCache string
 	// Twin is why no closed-form analytical twin exists for the family
 	// ("" = the twin tier can predict it).
 	Twin string
@@ -95,16 +90,13 @@ func Families() []Family {
 				return SchedulerAblation(ctx, sweepCG(fast), w)
 			}},
 		{"superpage", "superpage TLB experiment ([21])",
-			Eligibility{TraceCache: "cells issue different remap syscalls"},
+			Eligibility{},
 			func(ctx context.Context, fast bool, w io.Writer) error {
 				pages, sweeps := SuperpageGeometry(fast)
 				return SuperpageExperiment(ctx, pages, sweeps, w)
 			}},
 		{"ipc", "IPC message gather (§6)",
-			Eligibility{
-				TraceCache: "each cell runs a different workload variant",
-				Twin:       "pointer-linked message buffers make the walk data-dependent",
-			},
+			Eligibility{Twin: "pointer-linked message buffers make the walk data-dependent"},
 			func(ctx context.Context, fast bool, w io.Writer) error {
 				if fast {
 					return IPCExperiment(ctx, 8, 128, 2, w)
@@ -137,10 +129,7 @@ func Families() []Family {
 				return CacheGeometrySweep(ctx, sweepCG(fast), sizes, w)
 			}},
 		{"cholesky", "tiled Cholesky factorization (§3.2 extension)",
-			Eligibility{
-				TraceCache: "each cell runs a different workload variant",
-				Twin:       "data-dependent tiled factorization",
-			},
+			Eligibility{Twin: "data-dependent tiled factorization"},
 			func(ctx context.Context, fast bool, w io.Writer) error {
 				if fast {
 					return CholeskyExperiment(ctx, 128, 32, w)
@@ -156,10 +145,7 @@ func Families() []Family {
 				return SparkExperiment(ctx, 300, 300, 1, w)
 			}},
 		{"db", "database projection and index scans",
-			Eligibility{
-				TraceCache: "each cell runs a different workload variant",
-				Twin:       "selectivity-dependent scan stream",
-			},
+			Eligibility{Twin: "selectivity-dependent scan stream"},
 			func(ctx context.Context, fast bool, w io.Writer) error {
 				p := workloads.DBDefault()
 				if fast {
@@ -179,23 +165,15 @@ func Families() []Family {
 	}
 }
 
-// extraElig covers named runs that are not sweep families but still
-// emit trace-cache advisories.
-var extraElig = map[string]Eligibility{
-	"figure1": {TraceCache: "each cell runs a different workload variant"},
-}
-
-// FamilyEligibility returns the eligibility record for a family (or
-// advisory-only name like "figure1"); ok reports whether the name is
-// known.
+// FamilyEligibility returns the eligibility record for a family; ok
+// reports whether the name is known.
 func FamilyEligibility(name string) (Eligibility, bool) {
 	for _, f := range Families() {
 		if f.Name == name {
 			return f.Elig, true
 		}
 	}
-	e, ok := extraElig[name]
-	return e, ok
+	return Eligibility{}, false
 }
 
 // FamilyNames returns the valid family names in run order.

@@ -55,34 +55,32 @@ func captureGrid(t *testing.T, run func() (*Grid, error)) string {
 	return b.String()
 }
 
-// diffFastPath runs capture with the fast path on and off (under the
-// given trace-cache setting) and requires identical output.
-func diffFastPath(t *testing.T, traceCache bool, capture func() string) {
+// diffFastPath runs capture with the fast path on and off, each from an
+// empty cell memo (the memo's identity ignores the fast path, so a warm
+// memo would hand the second run the first run's rows), and requires
+// identical output.
+func diffFastPath(t *testing.T, capture func() string) {
 	t.Helper()
 	var on, off string
-	withTraceCache(t, traceCache, func() {
+	withColdMemo(t, func() {
 		withFastPath(t, true, func() { on = capture() })
 		ResetTraceCache()
 		withFastPath(t, false, func() { off = capture() })
 	})
 	if on != off {
-		t.Errorf("output differs with fast path on (trace cache %v)\n--- fast on ---\n%s--- fast off ---\n%s",
-			traceCache, on, off)
+		t.Errorf("output differs with fast path on\n--- fast on ---\n%s--- fast off ---\n%s", on, off)
 	}
 }
 
 // TestFastPathTable1Identity: the full Table 1 grid — render, JSON, and
-// all row counters — is byte-identical with the fast path on and off,
-// with the trace cache both off (every cell executes) and on (one cell
-// per stream records, the rest replay).
+// all row counters — is byte-identical with the fast path on and off.
 func TestFastPathTable1Identity(t *testing.T) {
 	capture := func() string {
 		return captureGrid(t, func() (*Grid, error) {
 			return Table1(context.Background(), smallCG(), nil)
 		})
 	}
-	diffFastPath(t, false, capture)
-	diffFastPath(t, true, capture)
+	diffFastPath(t, capture)
 }
 
 // TestFastPathTable2Identity: same contract for the tiled matrix-product
@@ -94,8 +92,7 @@ func TestFastPathTable2Identity(t *testing.T) {
 			return Table2(context.Background(), par, nil)
 		})
 	}
-	diffFastPath(t, false, capture)
-	diffFastPath(t, true, capture)
+	diffFastPath(t, capture)
 }
 
 // TestFastPathTraceBytesIdentity records the trace v2 stream of one run
@@ -177,7 +174,7 @@ func TestFastPathFamiliesIdentity(t *testing.T) {
 				}
 				return b.String()
 			}
-			diffFastPath(t, true, capture)
+			diffFastPath(t, capture)
 		})
 	}
 }

@@ -12,14 +12,13 @@ import (
 )
 
 // CacheGeometrySweep is a classic trace-driven sensitivity study: the
-// conventional CG reference stream is recorded once and replayed across
-// L2 capacities, reporting how the paper's conventional-system hit-ratio
-// profile depends on cache geometry. It locates the paper's operating
-// point (multiplicand bigger than L1, smaller than L2) on the capacity
-// curve. L2 capacity is pure timing, so every size shares one trace —
-// and, unlike the v1 flat load/store replay this sweep used to run,
-// v2 replay reproduces the exact cycle counts execution would have
-// produced at each size.
+// conventional CG reference stream runs across L2 capacities, reporting
+// how the paper's conventional-system hit-ratio profile depends on cache
+// geometry. It locates the paper's operating point (multiplicand bigger
+// than L1, smaller than L2) on the capacity curve. L2 capacity is pure
+// timing, so every size shares one stream key: under -trace-record /
+// -trace-replay the stream is recorded once and replayed at each size,
+// with the exact cycle counts execution produces.
 func CacheGeometrySweep(ctx context.Context, par workloads.CGParams, l2Sizes []uint64, w io.Writer) error {
 	m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 	wantZeta, wantRNorm := workloads.RefCG(m, par)

@@ -97,8 +97,8 @@ func Table1(ctx context.Context, par workloads.CGParams, progress Progress) (*Gr
 	g := &Grid{Title: fmt.Sprintf("Table 1: NAS conjugate gradient (n=%d, nnz=%d, %d CG iterations)",
 		par.N, m.NNZ(), par.Niter*par.CGIts)}
 	nc := len(prefetchColumns)
-	// The four prefetch columns of a section share one reference stream;
-	// one column records, the others replay as one vectorized batch.
+	// The four prefetch columns of a section share one reference stream
+	// (the stream key): under -trace-record, one of them records it.
 	rows, err := runCells(ctx, len(sections)*nc, func(idx int) cellSpec {
 		sec, ci := sections[idx/nc], idx%nc
 		pf := prefetchColumns[ci]
@@ -112,8 +112,6 @@ func Table1(ctx context.Context, par workloads.CGParams, progress Progress) (*Gr
 				Prefetch:   pf,
 			},
 			relabel: relabelPf(pf),
-			// Error text names only the section: all four columns share
-			// the stream, so which column recorded must not show through.
 			exec: func(s *core.System) (core.Row, error) {
 				res, err := workloads.RunCG(s, par, sec.mode, m)
 				if err != nil {
@@ -203,7 +201,6 @@ func Table2(ctx context.Context, par workloads.MMPParams, progress Progress) (*G
 // bus traffic, and hit ratios for a diagonal traversal, conventional vs
 // Impulse strided remapping.
 func Figure1(ctx context.Context, dim, sweeps int, w io.Writer) error {
-	noteIneligible(ctx, "figure1")
 	want := workloads.RefDiagonal(dim)
 	kinds := []core.ControllerKind{core.Conventional, core.Impulse}
 	rows, err := RunCtx(ctx, len(kinds), func(i int, tc *TaskCtx) (workloads.DiagResult, error) {

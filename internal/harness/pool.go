@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"impulse/internal/core"
+	"impulse/internal/sim"
 )
 
 // workers is the pool width used by Run. Set once at startup (flag
@@ -64,41 +65,35 @@ func rowSink(ctx context.Context) func(core.Row) {
 	return sink
 }
 
-// CellEvent describes one grid cell's passage through the trace cache:
-// which reference stream it belongs to (the cell's stream-identity key),
-// how it ran, and its host wall-clock interval. The impulsed service
-// installs an observer per job (WithCellObserver) and turns these into
-// the job's Perfetto timeline and provenance manifest.
+// CellEvent describes one grid cell's run: which reference stream it
+// belongs to (the cell's stream-identity key), how it ran, and its host
+// wall-clock interval. The impulsed service installs an observer per job
+// (WithCellObserver) and turns these into the job's Perfetto timeline and
+// provenance manifest.
 type CellEvent struct {
 	// Key is the cell's reference-stream identity (cellSpec.key).
 	Key string
-	// Mode is how the cell ran: "record" (executed the workload under
-	// the trace recorder), "replay" (replayed a recorded stream
-	// scalar), "replayed-vectorized" (replayed as one lane of a
-	// vectorized batch), or "execute" (plain execution: trace cache off
-	// or recording failed over to direct execution).
+	// Mode is how the cell ran: "execute" (ran the workload), "record"
+	// (ran it under the trace recorder as its stream's first cell,
+	// -trace-record), "replay" (replayed its stream from disk,
+	// -trace-replay), or "reused" (re-emitted an identical cell's rows
+	// from the cell memo).
 	Mode string
 	// Start and End bound the cell's host wall-clock run.
 	Start, End time.Time
-	// Batch identifies the vectorized replay batch this cell belonged
-	// to ("v-" + hash of the stream key); empty for scalar cells.
-	// BatchSize is the number of cells in the batch (including the
-	// recording cell) and BatchIndex this cell's lane position.
+	// Batch, BatchIndex and Decode are never set: every cell is its own
+	// pool task and replay decodes as it applies. They remain so readers
+	// of earlier cell events still compile.
 	Batch      string
-	BatchSize  int
 	BatchIndex int
-	// Decode is the batch's shared trace-decode wall-clock, reported on
-	// the first lane only (the decode runs once per batch). Apply is
-	// this lane's own apply wall-clock. Both zero for scalar cells.
-	Decode time.Duration
-	Apply  time.Duration
+	Decode     time.Duration
 }
 
 // cellObsKey carries a per-invocation cell observer in a context.
 type cellObsKey struct{}
 
-// WithCellObserver returns a context that reports every trace-cache cell
-// run under it to fn. Cells run on pool worker goroutines, concurrently
+// WithCellObserver returns a context that reports every grid cell run
+// under it to fn. Cells run on pool worker goroutines, concurrently
 // and in no particular order; fn must be safe for that. A nil observer
 // (the CLIs) costs one context lookup per cell — nothing on the
 // simulator's per-access hot path, which never sees contexts.
@@ -125,11 +120,21 @@ type TaskCtx struct {
 	rows []core.Row
 }
 
-// NewSystem builds a core.System whose rows are captured by this task.
-// Pool tasks must create systems through this method (not core.NewSystem
-// directly), or their rows would race on the global observer.
+// NewSystem builds a core.System whose rows are captured by this task,
+// under the harness-wide fast-path policy. Pool tasks must create
+// systems through this method (not core.NewSystem directly), or their
+// rows would race on the global observer.
 func (tc *TaskCtx) NewSystem(opts core.Options) (*core.System, error) {
-	return buildSystem(opts, func(r core.Row) { tc.rows = append(tc.rows, r) })
+	opts.RowObserver = func(r core.Row) { tc.rows = append(tc.rows, r) }
+	if fastPathOff {
+		cfg := sim.DefaultConfig()
+		if opts.Config != nil {
+			cfg = *opts.Config
+		}
+		cfg.DisableFastPath = true
+		opts.Config = &cfg
+	}
+	return core.NewSystem(opts)
 }
 
 // fastPathOff forces DisableFastPath on every system built through a
@@ -148,7 +153,7 @@ func SetFastPath(on bool) { fastPathOff = !on }
 func FastPathEnabled() bool { return !fastPathOff }
 
 // Observe adds a row to the task's buffered row log directly (for tasks
-// that synthesize rows without a System, e.g. trace replays).
+// that produce rows without a System, e.g. cells reused from the memo).
 func (tc *TaskCtx) Observe(r core.Row) { tc.rows = append(tc.rows, r) }
 
 // Run executes n independent tasks across the configured worker count

@@ -155,9 +155,12 @@ func TestRunNoRowsOnError(t *testing.T) {
 
 // runAll exercises a representative slice of every converted experiment
 // family plus the -counters registry, returning rendered output bytes
-// and the registry dump.
+// and the registry dump. It starts from an empty cell memo so each call
+// simulates every cell under the current worker count.
 func runAll(t *testing.T) (output, counters []byte) {
 	t.Helper()
+	ResetTraceCache()
+	t.Cleanup(ResetTraceCache)
 	var reg obs.Registry
 	core.SetRowObserver(core.CollectRows(&reg))
 	defer core.SetRowObserver(nil)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"impulse/internal/core"
-	"impulse/internal/workloads"
 )
 
 // TestRunCtxCancelBlockedWorker: a worker blocked inside a task unblocks
@@ -110,39 +109,6 @@ func TestWithRowSinkRoutesRows(t *testing.T) {
 		}
 		if n := globalRows.Load(); n != 0 {
 			t.Errorf("global observer saw %d rows despite an installed sink", n)
-		}
-	})
-}
-
-// TestTraceCacheRetryAfterError: a failed recording must not poison its
-// cache key for the life of the process — a daemon serves many jobs, and
-// a cancelled first job must leave the key retryable for the next.
-func TestTraceCacheRetryAfterError(t *testing.T) {
-	withTraceCache(t, true, func() {
-		injected := errors.New("injected recording failure")
-		spec := func(fail bool) cellSpec {
-			return cellSpec{
-				key:  "retry-after-error-test",
-				opts: core.Options{Controller: core.Conventional},
-				exec: func(s *core.System) (core.Row, error) {
-					if fail {
-						return core.Row{}, injected
-					}
-					res, err := workloads.RunDiagonal(s, 64, 2, false)
-					return res.Row, err
-				},
-			}
-		}
-		tc := &TaskCtx{Ctx: context.Background()}
-		if _, err := runCell(tc, spec(true)); !errors.Is(err, injected) {
-			t.Fatalf("first attempt err = %v, want injected failure", err)
-		}
-		row, err := runCell(tc, spec(false))
-		if err != nil {
-			t.Fatalf("retry after failed recording: %v", err)
-		}
-		if row.Cycles == 0 {
-			t.Error("retry produced an empty row")
 		}
 	})
 }

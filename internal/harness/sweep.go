@@ -145,7 +145,6 @@ func schedulerAdversarial(ctx context.Context, w io.Writer) error {
 // on SPECint95. The workload is a page-strided walk over a region far
 // beyond TLB reach.
 func SuperpageExperiment(ctx context.Context, pages, sweeps int, w io.Writer) error {
-	noteIneligible(ctx, "superpage")
 	run := func(super bool, tc *TaskCtx) (core.Row, error) {
 		s, err := tc.NewSystem(core.Options{Controller: core.Impulse})
 		if err != nil {
@@ -195,7 +194,6 @@ func SuperpageExperiment(ctx context.Context, pages, sweeps int, w io.Writer) er
 
 // IPCExperiment quantifies §6's no-copy message gather.
 func IPCExperiment(ctx context.Context, bufCount, wordsPerBuf, messages int, w io.Writer) error {
-	noteIneligible(ctx, "ipc")
 	want := workloads.RefIPC(bufCount, wordsPerBuf, messages)
 	kinds := []core.ControllerKind{core.Conventional, core.Impulse}
 	rows, err := RunCtx(ctx, len(kinds), func(i int, tc *TaskCtx) (workloads.IPCResult, error) {
@@ -355,7 +353,6 @@ func GatherStrideSweep(ctx context.Context, strides []int, elems int, w io.Write
 // factorization, the other dense kernel §3.2 names. Checksums are
 // verified against the host reference.
 func CholeskyExperiment(ctx context.Context, n, tile int, w io.Writer) error {
-	noteIneligible(ctx, "cholesky")
 	want := workloads.RefCholesky(n, tile)
 	configs := []struct {
 		kind core.ControllerKind
@@ -553,7 +550,6 @@ func PagePolicyAblation(ctx context.Context, par workloads.CGParams, w io.Writer
 // memory-bound applications of commercial importance, such as database
 // and multimedia programs").
 func DBExperiment(ctx context.Context, p workloads.DBParams, selectivity int, w io.Writer) error {
-	noteIneligible(ctx, "db")
 	wantProj := workloads.RefDBProjection(p)
 	wantIdx := workloads.RefDBIndexScan(p, selectivity)
 	// Task order matches the serial loop: projection conv/imp, index conv/imp.

@@ -1,8 +1,8 @@
 // Run-provenance manifests. Every terminal job gets a Manifest: enough
 // recorded context to answer "what exactly produced these bytes" months
 // later — the canonical spec and its hash, how the harness was
-// configured (workers, fast path, trace cache), what each grid cell did
-// (recorded, replayed, or executed), how long the job queued and ran,
+// configured (workers, fast path), what each grid cell did (executed,
+// recorded, replayed, or reused), how long the job queued and ran,
 // digests of the result, and the build that produced it. Served at
 // GET /v1/jobs/{id}/manifest.
 package service
@@ -19,22 +19,17 @@ import (
 	"impulse/internal/twin/validate"
 )
 
-// CellManifest records one grid cell's passage through the trace cache.
+// CellManifest records one grid cell's run.
 type CellManifest struct {
-	// Key is the cell's reference-stream identity (the trace-cache key).
+	// Key is the cell's reference-stream identity.
 	Key string `json:"key"`
-	// Mode is "record", "replay", "replayed-vectorized", or "execute"
-	// (see harness.CellEvent).
+	// Mode is "execute", "record", "replay", or "reused" (see
+	// harness.CellEvent).
 	Mode string `json:"mode"`
 	// DurationUS is the cell's host wall-clock run in microseconds.
 	DurationUS int64 `json:"duration_us"`
-	// Batch identifies the vectorized replay batch the cell rode in, and
-	// BatchSize how many cells shared its decoded trace. Empty/zero for
-	// non-vectorized cells.
-	Batch     string `json:"batch,omitempty"`
-	BatchSize int    `json:"batch_size,omitempty"`
-	// DecodeUS is the batch's shared decode cost in microseconds,
-	// reported once per batch (on its first replayed cell).
+	// DecodeUS is always zero: no cell decodes a trace apart from
+	// applying it. It remains for readers of earlier manifests.
 	DecodeUS int64 `json:"decode_us,omitempty"`
 }
 
@@ -77,17 +72,15 @@ type Manifest struct {
 	// instant answer comes with.
 	Workers        int     `json:"workers"`
 	FastPath       bool    `json:"fast_path"`
-	TraceCache     bool    `json:"trace_cache"`
-	VectorReplay   bool    `json:"vector_replay"`
 	Tier           string  `json:"tier,omitempty"`
 	TwinErrorBound float64 `json:"twin_error_bound,omitempty"`
 
-	// Trace-cache outcome per grid cell, sorted by start time (ties by
-	// key), plus per-mode totals. Empty for kinds that run no cells
-	// through the cache.
+	// How each grid cell ran, sorted by start time (ties by key), plus
+	// per-mode totals. Empty for kinds that run no grid cells.
 	CellsRecorded int            `json:"cells_recorded"`
 	CellsReplayed int            `json:"cells_replayed"`
 	CellsExecuted int            `json:"cells_executed"`
+	CellsReused   int            `json:"cells_reused"`
 	Cells         []CellManifest `json:"cells,omitempty"`
 
 	// Result identity: SHA-256 digests of the rendered output and the
@@ -117,20 +110,18 @@ func buildManifest(j *Job) *Manifest {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	m := &Manifest{
-		JobID:        j.ID,
-		State:        j.state,
-		Error:        j.errMsg,
-		Spec:         j.Spec,
-		Canonical:    j.Spec.Canonical(),
-		SpecHash:     j.Hash,
-		SubmittedAt:  j.submitted,
-		StartedAt:    j.started,
-		FinishedAt:   j.finished,
-		Workers:      harness.Workers(),
-		FastPath:     harness.FastPathEnabled(),
-		TraceCache:   harness.TraceCacheEnabled(),
-		VectorReplay: harness.VectorReplayEnabled(),
-		Build:        buildInfo(),
+		JobID:       j.ID,
+		State:       j.state,
+		Error:       j.errMsg,
+		Spec:        j.Spec,
+		Canonical:   j.Spec.Canonical(),
+		SpecHash:    j.Hash,
+		SubmittedAt: j.submitted,
+		StartedAt:   j.started,
+		FinishedAt:  j.finished,
+		Workers:     harness.Workers(),
+		FastPath:    harness.FastPathEnabled(),
+		Build:       buildInfo(),
 	}
 	if j.tier != "" {
 		m.Tier = j.tier
@@ -154,14 +145,14 @@ func buildManifest(j *Job) *Manifest {
 	for _, c := range cells {
 		m.Cells = append(m.Cells, CellManifest{
 			Key: c.Key, Mode: c.Mode, DurationUS: c.End.Sub(c.Start).Microseconds(),
-			Batch: c.Batch, BatchSize: c.BatchSize,
-			DecodeUS: c.Decode.Microseconds(),
 		})
 		switch c.Mode {
 		case "record":
 			m.CellsRecorded++
-		case "replay", "replayed-vectorized":
+		case "replay":
 			m.CellsReplayed++
+		case "reused":
+			m.CellsReused++
 		default:
 			m.CellsExecuted++
 		}

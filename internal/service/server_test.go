@@ -287,10 +287,12 @@ func execDirect(t *testing.T, spec Spec) ([]byte, []byte) {
 	return res.Output, res.Counters
 }
 
-// TestDifferentialEligibleFamily: a service job for a trace-cache
-// eligible family (Table 1) returns bytes identical to the direct
-// harness run — through HTTP, with ≥8 concurrent identical submissions
-// resolving to exactly one harness execution.
+// TestDifferentialEligibleFamily: a service job for a grid family
+// (Table 1) returns bytes identical to the direct harness run — through
+// HTTP, with ≥8 concurrent identical submissions resolving to exactly
+// one harness execution. A second job over the same grid (another
+// format, so another spec hash) reuses every cell from the harness's
+// cell memo.
 func TestDifferentialEligibleFamily(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real CG grid")
@@ -311,7 +313,7 @@ func TestDifferentialEligibleFamily(t *testing.T) {
 		return res.Output, res.Counters
 	}()
 
-	harness.ResetTraceCache() // the service run must not reuse the direct run's traces
+	harness.ResetTraceCache() // the service run must not reuse the direct run's cells
 
 	s := New(Config{QueueDepth: 16, Executors: 2})
 	defer s.Close()
@@ -389,10 +391,42 @@ func TestDifferentialEligibleFamily(t *testing.T) {
 		t.Errorf("service counters differ from direct run (%d vs %d bytes)", len(gotCtr), len(wantCtr))
 	}
 
-	// Provenance: Table 1 is 3 sections x 4 prefetch columns sharing one
-	// stream per section — the manifest must show 3 recordings and 9
-	// replays, every cell timed.
-	mrr, err := http.Get(ts.URL + "/v1/jobs/" + ids[0] + "/manifest")
+	// Provenance: every one of Table 1's 12 cells is its own pool task
+	// that executes the workload, and every cell is timed.
+	man := fetchManifest(t, ts, ids[0])
+	if man.CellsExecuted != 12 || man.CellsRecorded != 0 || man.CellsReplayed != 0 || man.CellsReused != 0 || len(man.Cells) != 12 {
+		t.Errorf("manifest cells: executed=%d recorded=%d replayed=%d reused=%d total=%d, want 12/0/0/0/12",
+			man.CellsExecuted, man.CellsRecorded, man.CellsReplayed, man.CellsReused, len(man.Cells))
+	}
+	for _, c := range man.Cells {
+		if c.DurationUS < 0 || c.Key == "" || c.Mode != "execute" {
+			t.Errorf("bad cell manifest entry: %+v", c)
+		}
+	}
+
+	// The same grid as JSON is a distinct job; its cells all come from
+	// the memo.
+	jj, _, err := s.Submit(Spec{Kind: "table1", N: 240, Nonzer: 4, Niter: 1, CGIts: 2, Format: "json"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-jj.Done()
+	if jj.Result() == nil {
+		t.Fatalf("json job failed: %+v", jj.Status())
+	}
+	man = fetchManifest(t, ts, jj.ID)
+	if man.CellsReused != 12 || man.CellsExecuted != 0 || len(man.Cells) != 12 {
+		t.Errorf("second job cells: reused=%d executed=%d total=%d, want 12/0/12",
+			man.CellsReused, man.CellsExecuted, len(man.Cells))
+	}
+	if got := s.cExecuted.Load(); got != 2 {
+		t.Errorf("service ran %d jobs, want 2", got)
+	}
+}
+
+func fetchManifest(t *testing.T, ts *httptest.Server, id string) Manifest {
+	t.Helper()
+	mrr, err := http.Get(ts.URL + "/v1/jobs/" + id + "/manifest?wait=60s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,20 +436,12 @@ func TestDifferentialEligibleFamily(t *testing.T) {
 	if err := json.Unmarshal(mBody, &man); err != nil {
 		t.Fatalf("manifest: %v\n%s", err, mBody)
 	}
-	if man.CellsRecorded != 3 || man.CellsReplayed != 9 || man.CellsExecuted != 0 || len(man.Cells) != 12 {
-		t.Errorf("manifest cells: recorded=%d replayed=%d executed=%d total=%d, want 3/9/0/12",
-			man.CellsRecorded, man.CellsReplayed, man.CellsExecuted, len(man.Cells))
-	}
-	for _, c := range man.Cells {
-		if c.DurationUS < 0 || c.Key == "" {
-			t.Errorf("bad cell manifest entry: %+v", c)
-		}
-	}
+	return man
 }
 
-// TestDifferentialIneligibleFamily: same contract for a family the trace
-// cache cannot help (figure1's diagonal sweep executes per-cell), so the
-// execute-every-cell path is covered too.
+// TestDifferentialIneligibleFamily: same contract for a run outside the
+// grid-cell path (figure1's two cells run as plain pool tasks, outside
+// the cell memo), so that path is covered too.
 func TestDifferentialIneligibleFamily(t *testing.T) {
 	harness.ResetTraceCache()
 	defer harness.ResetTraceCache()

@@ -148,14 +148,8 @@ func (j *Job) Manifest() *Manifest {
 }
 
 // observeCell records one harness cell event against the job (timeline
-// lane + manifest row). Called concurrently from pool workers. A
-// vectorized batch's first replayed cell also carries the batch's
-// shared decode cost; it gets its own lane span so the decode/apply
-// split is visible in the timeline.
+// lane + manifest row). Called concurrently from pool workers.
 func (j *Job) observeCell(ev harness.CellEvent) {
-	if ev.Decode > 0 {
-		j.trace.Cell(ev.Key+" decode", ev.Start.Add(-ev.Decode), ev.Start)
-	}
 	j.trace.Cell(ev.Key+" "+ev.Mode, ev.Start, ev.End)
 	j.mu.Lock()
 	j.cells = append(j.cells, ev)
@@ -332,10 +326,6 @@ type Service struct {
 	// endpoint.
 	hQueueWait, hRunDur, hHTTP *obs.HistVec
 
-	// hBatchSize distributes vectorized replay batch sizes (cells that
-	// shared one decoded trace), observed once per batch.
-	hBatchSize *obs.Histogram
-
 	// hTwinLat distributes analytical-twin answer latencies — the tier's
 	// whole point is that these sit in microseconds, not seconds.
 	hTwinLat *obs.Histogram
@@ -413,24 +403,11 @@ func (s *Service) registerMetrics() {
 	s.reg.GaugeFunc("service.queue_capacity", "Configured queue bound.", func() uint64 { return uint64(s.cfg.QueueDepth) })
 	s.reg.GaugeFunc("service.executors", "Configured executor goroutines.", func() uint64 { return uint64(s.cfg.Executors) })
 	s.reg.GaugeFunc("service.harness_workers", "Harness worker-pool width shared by all jobs.", func() uint64 { return uint64(harness.Workers()) })
-	s.reg.GaugeFunc("service.trace_cache_enabled", "1 when the harness trace cache is on.", func() uint64 {
-		if harness.TraceCacheEnabled() {
-			return 1
-		}
-		return 0
-	})
 	s.reg.GaugeFunc("service.uptime_seconds", "Seconds since the service started.", func() uint64 { return uint64(time.Since(s.start).Seconds()) })
-	s.reg.GaugeFunc("service.vector_replay_enabled", "1 when replay batches are vectorized (one decode shared per trace-cache family).", func() uint64 {
-		if harness.VectorReplayEnabled() {
-			return 1
-		}
-		return 0
-	})
 	s.reg.CounterFunc("service.jobs_recovered", "Completed results recovered from the on-disk store at startup and served without re-execution.", u(&s.cRecovered))
 	s.reg.CounterFunc("service.twin_requests", "Analytical-twin tier requests (submits with tier=twin plus /v1/predict calls).", u(&s.cTwinRequests))
 	s.reg.CounterFunc("service.twin_ineligible", "Twin-tier requests naming a family with no analytical twin (submits fall through to simulation).", u(&s.cTwinIneligible))
 	s.hTwinLat = s.reg.Histogram("service.twin_latency_us", "Microseconds spent computing analytical-twin predictions.")
-	s.hBatchSize = s.reg.Histogram("service.vector_replay_batch_size", "Cells per vectorized replay batch (cells sharing one decoded trace).")
 	s.hQueueWait = s.reg.HistogramVec("service.job_queue_wait_us", "Microseconds jobs spent queued before an executor picked them up.", "kind")
 	s.hRunDur = s.reg.HistogramVec("service.job_run_duration_us", "Microseconds jobs spent executing on the harness.", "kind")
 	s.hHTTP = s.reg.HistogramVec("service.http_request_duration_us", "Microseconds spent serving HTTP requests.", "endpoint")
@@ -691,12 +668,7 @@ func (s *Service) runJob(j *Job) {
 	// the cell observer (timeline + manifest), and the job trace (the
 	// render phase is recorded from inside Execute).
 	ctx = obs.WithJobID(ctx, j.ID)
-	ctx = harness.WithCellObserver(ctx, func(ev harness.CellEvent) {
-		if ev.Mode == "replayed-vectorized" && ev.BatchIndex == 0 {
-			s.hBatchSize.Observe(uint64(ev.BatchSize))
-		}
-		j.observeCell(ev)
-	})
+	ctx = harness.WithCellObserver(ctx, j.observeCell)
 	ctx = withJobTrace(ctx, j.trace)
 	// Stream each finished grid cell to SSE subscribers as a columnar
 	// row chunk; the final result blob is the same columns, indexed.

@@ -68,8 +68,8 @@ type Config struct {
 	// reference translate+probe sequence. The fast path is cycle- and
 	// counter-identical to the reference path by construction; this knob
 	// exists so the differential tests can prove it, and as an escape
-	// hatch. It never changes simulation results, so it is deliberately
-	// excluded from trace-cache stream identity.
+	// hatch. It never changes simulation results, so the harness's cell
+	// memo ignores it in a cell's identity.
 	DisableFastPath bool
 }
 

@@ -44,13 +44,10 @@
 //     movement, the L1 LRU touch, hit counters, latency accounting and
 //     clock advance, trace and observability events.
 //
-// Shadow (remapped) lines never enter the table during execution: they
-// keep the full reference path, including controller-buffer
-// interactions, because the commit paths here read memory directly and
-// would skip the controller's gather resolution. Vector replay runs with
-// functional data movement off — no path reads memory at all — so it
-// widens eligibility to shadow lines for the duration (Machine.fastShadow,
-// see replayvec.go).
+// Shadow (remapped) lines never enter the table: they keep the full
+// reference path, including controller-buffer interactions, because the
+// commit paths here read memory directly and would skip the controller's
+// gather resolution.
 //
 // Config.DisableFastPath forces every access through the reference path;
 // the differential tests compare the two end to end. Because a fall from
@@ -106,11 +103,9 @@ func (m *Machine) fastPopulate(v addr.VAddr, p addr.PAddr, slot int) {
 	if off != uint64(p)&m.l1LineMask {
 		return // translation does not preserve line offsets: one base cannot serve the line
 	}
-	if !m.fastShadow && m.MC.IsShadow(p) {
+	if m.MC.IsShadow(p) {
 		// Shadow lines keep the full reference path: a committed fast
-		// access reads memory directly, which is only equivalent for
-		// them while functional data movement is off (vector replay
-		// sets fastShadow for exactly that window).
+		// access reads memory directly, skipping gather resolution.
 		return
 	}
 	vline := uint64(v) - off
@@ -154,8 +149,8 @@ func (m *Machine) fastLoad(v addr.VAddr, size uint64) (uint64, bool) {
 	p := addr.PAddr(e.pbase | (uint64(v) & m.l1LineMask))
 	var value uint64
 	if m.functional {
-		// Populate rejects shadow lines during execution, so this is
-		// readValue minus the shadow dispatch.
+		// Populate rejects shadow lines, so this is readValue minus
+		// the shadow dispatch.
 		if size == 8 {
 			value = m.Mem.Load64(p)
 		} else {

@@ -59,16 +59,12 @@ type Machine struct {
 	// invalidated by generation bump on any translation-state change,
 	// and re-validated on every use via cache.FastTouch/FastDirty. Nil
 	// when the fast path is disabled; fastOn mirrors
-	// !cfg.DisableFastPath. fastShadow widens eligibility to shadow
-	// lines; it may be set only while functional data movement is off
-	// (vector replay, replayvec.go), because the commit paths read
-	// memory directly, skipping shadow resolution.
+	// !cfg.DisableFastPath.
 	fastVec      []fastEntry
 	fastVecMask  uint64
 	fastVecGen   uint32
 	fastVecShift uint8
 	fastOn       bool
-	fastShadow   bool
 
 	// Page-translation memo in front of the TLB (fastpath.go invariant 1
 	// applies unchanged: populated only on a TLB hit, when a repeat
@@ -428,9 +424,7 @@ func (m *Machine) load(v addr.VAddr, size uint64) uint64 {
 }
 
 // loadTail is the reference load path: everything after the recorder
-// callback, the Loads counter, and the fast-path attempt. The vector
-// replay applier (replayvec.go) calls it directly for accesses its
-// inline hit path cannot commit.
+// callback, the Loads counter, and the fast-path attempt.
 func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	start := m.clock
 	p := m.translate(v)

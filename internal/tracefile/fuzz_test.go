@@ -52,30 +52,3 @@ func FuzzTraceDecode(f *testing.F) {
 		_ = Validate(data)
 	})
 }
-
-// FuzzVectorDecode throws the same inputs at the vectorizing decoder.
-// Beyond not panicking, DecodeProgram must agree with Validate on
-// whether the input is well-formed: the vectorized path may never
-// accept a trace the scalar path rejects (or vice versa), or the two
-// replay modes would diverge on which cached streams are usable.
-func FuzzVectorDecode(f *testing.F) {
-	seed := fuzzSeedTrace(f)
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	f.Add(seed[:len(magicV2)])
-	flipped := append([]byte(nil), seed...)
-	flipped[len(flipped)/3] ^= 0x40
-	f.Add(flipped)
-	f.Add([]byte{})
-	f.Add([]byte("IMPTRC\x00\x02\xee"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		vErr := Validate(data)
-		p, dErr := DecodeProgram(data)
-		if (vErr == nil) != (dErr == nil) {
-			t.Fatalf("decoders disagree: Validate=%v DecodeProgram=%v", vErr, dErr)
-		}
-		if dErr == nil && p == nil {
-			t.Fatal("nil program without error")
-		}
-	})
-}

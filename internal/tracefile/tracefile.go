@@ -3,8 +3,8 @@
 // once, then replay it under different memory-system configurations
 // without re-executing the workload. This is the methodology most
 // memory-system studies of the paper's era used (and the role Paint's
-// instrumentation played); the experiment harness builds its trace cache
-// on it so timing-only sweeps execute each workload once.
+// instrumentation played); the experiment harness records and replays
+// grid cells with it across processes (-trace-record / -trace-replay).
 //
 // Two formats share the 8-byte "IMPTRC" + version header:
 //

@@ -346,9 +346,8 @@ func forEachOp(data []byte, fn func(o *v2op) error) error {
 }
 
 // rareOp decodes the operands of any op other than a load/store/tick
-// (o.code is already consumed). It is the single copy of the rare-op
-// wire format, shared by forEachOp and DecodeProgram's inlined hot
-// loop, so the scalar and vector decoders cannot drift.
+// (o.code is already consumed), keeping forEachOp's hot loop to the
+// load/store/tick arms.
 func (d *v2decoder) rareOp(o *v2op, depth *int) error {
 	var err error
 	switch o.code {
@@ -438,7 +437,7 @@ func Validate(data []byte) error {
 // ReplayOpts configures ReplayV2.
 type ReplayOpts struct {
 	// MapLabel, when non-nil, rewrites each recorded section/result
-	// label before the row is produced. The trace cache uses it so a
+	// label before the row is produced. The harness uses it so a
 	// replayed cell's rows carry the replaying configuration's label
 	// (e.g. its own prefetch-policy suffix), keeping rendered tables and
 	// registered counter names identical to execution.
@@ -468,9 +467,7 @@ func ReplayV2(s *core.System, data []byte, opts ReplayOpts) (rows []core.Row, er
 	defer s.SetFunctional(true)
 	var secs []core.Section
 	err = forEachOp(data, func(o *v2op) error {
-		// The hot ops stay inline (they are the bulk of every trace); the
-		// rare ops share applyRare with the vectorized replayer, so the
-		// two paths cannot drift.
+		// The hot ops stay inline (they are the bulk of every trace).
 		switch o.code {
 		case opLoad32:
 			s.Load32(addr.VAddr(o.a))
@@ -493,9 +490,7 @@ func ReplayV2(s *core.System, data []byte, opts ReplayOpts) (rows []core.Row, er
 	return rows, nil
 }
 
-// applyRare applies one non-access op to s. Shared by ReplayV2 and the
-// vectorized replayer (vector.go): both must produce byte-identical
-// machine state and error text for every rare op.
+// applyRare applies one non-access op to s.
 func applyRare(s *core.System, o *v2op, secs *[]core.Section, rows *[]core.Row, mapLabel func(string) string) error {
 	switch o.code {
 	case opFlushV:

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"impulse/internal/core"
@@ -46,13 +45,20 @@ func recordedRun(t *testing.T, opts core.Options, run func(*core.System) (core.R
 // row and the registry of all replayed rows.
 func replayRun(t *testing.T, opts core.Options, data []byte) (core.Row, *obs.Registry) {
 	t.Helper()
+	return replayAs(t, opts, data, nil)
+}
+
+// replayAs is replayRun with each recorded label rewritten by mapLabel,
+// as the harness replays a stream recorded by another cell.
+func replayAs(t *testing.T, opts core.Options, data []byte, mapLabel func(string) string) (core.Row, *obs.Registry) {
+	t.Helper()
 	var reg obs.Registry
 	opts.RowObserver = core.CollectRows(&reg)
 	s, err := core.NewSystem(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ReplayV2(s, data, ReplayOpts{})
+	rows, err := ReplayV2(s, data, ReplayOpts{MapLabel: mapLabel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,27 +169,11 @@ func TestReplayAcrossTimingConfigs(t *testing.T) {
 	// Execute directly under PrefetchMC.
 	_, execRow, execReg := recordedRun(t, core.Options{Controller: core.Impulse, Prefetch: core.PrefetchMC}, run)
 
-	var reg obs.Registry
-	s, err := core.NewSystem(core.Options{
-		Controller: core.Impulse, Prefetch: core.PrefetchMC,
-		RowObserver: core.CollectRows(&reg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The recorded labels carry the recording policy's suffix; rewrite to
-	// the replaying policy's, as the trace cache does.
-	rows, err := ReplayV2(s, data, ReplayOpts{MapLabel: func(l string) string {
-		if i := strings.LastIndexByte(l, '/'); i >= 0 {
-			return l[:i+1] + core.PrefetchMC.String()
-		}
-		return l
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repRow := rows[len(rows)-1]
-	assertIdentical(t, "cross-config", execRow, repRow, execReg, &reg)
+	// the replaying policy's, as the harness does.
+	repRow, repReg := replayAs(t, core.Options{Controller: core.Impulse, Prefetch: core.PrefetchMC},
+		data, relabelTo(core.PrefetchMC))
+	assertIdentical(t, "cross-config", execRow, repRow, execReg, repReg)
 }
 
 // TestV2RoundTripStructure checks the recorded stream survives a

@@ -10,8 +10,7 @@ import "encoding/binary"
 // truncated, < 0 means overflow). The guards chain — reaching the
 // 2-byte arm implies b[pos] >= 0x80, the 3-byte arm implies
 // b[pos+1] >= 0x80 — so each arm decodes exactly what binary.Uvarint
-// would. decodeInto in vector.go inlines this function body in its hot
-// loop; keep the two in step.
+// would.
 func Uvarint(b []byte, pos int) (uint64, int) {
 	if pos >= len(b) {
 		return 0, 0

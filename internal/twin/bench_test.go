@@ -26,19 +26,15 @@ func BenchmarkTwinPredict(b *testing.B) {
 }
 
 // BenchmarkTwinSimBaseline is the path a twin answer replaces: the same
-// family simulated at the same fast geometry with the trace cache off
-// (the cache-miss cost — a warm cache would be the service's result
+// family simulated at the same fast geometry from an empty cell memo
+// (the cold cost — a warm answer would come from the service's result
 // cache anyway, which the twin tier also sits in front of).
 func BenchmarkTwinSimBaseline(b *testing.B) {
-	was := harness.TraceCacheEnabled()
-	harness.SetTraceCache(false)
-	defer func() {
-		harness.SetTraceCache(was)
-		harness.ResetTraceCache()
-	}()
+	defer harness.ResetTraceCache()
 	for _, fam := range Families() {
 		b.Run(fam, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				harness.ResetTraceCache()
 				if err := harness.RunFamily(context.Background(), fam, true, io.Discard); err != nil {
 					b.Fatal(err)
 				}

@@ -14,11 +14,10 @@
 // eligibility rules live in docs/TWIN.md; internal/twin/validate pins
 // the bounds against full simulation runs.
 //
-// Eligibility comes from the harness family registry (the same
-// Eligibility records the trace-cache advisories read): families whose
-// access streams are data-dependent (CG's sparse walk, pointer-linked
-// IPC buffers, Cholesky) have no closed form and fall through to exact
-// simulation.
+// Eligibility comes from the harness family registry's Eligibility
+// records: families whose access streams are data-dependent (CG's sparse
+// walk, pointer-linked IPC buffers, Cholesky) have no closed form and
+// fall through to exact simulation.
 package twin
 
 import (
@@ -111,8 +110,7 @@ func (p *Prediction) Columnar() []byte { return colres.Encode(p.Doc()) }
 
 // Eligible reports whether a family has an analytical twin. For
 // ineligible or unknown families it returns the human-readable reason
-// from the harness registry (the single source of truth shared with the
-// trace-cache advisories).
+// from the harness registry (the single source of truth).
 func Eligible(family string) (reason string, ok bool) {
 	e, known := harness.FamilyEligibility(family)
 	if !known {
