@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-json bench-diff fuzz-short twin-validate serve-smoke saturate-smoke ci tables report sweeps examples fmt vet clean
+.PHONY: all build test test-short race bench bench-json bench-diff fuzz-short twin-validate goldens serve-smoke saturate-smoke ci tables report sweeps examples fmt vet clean
 
 all: build vet test race
 
@@ -24,7 +24,7 @@ bench:
 # bench-json runs the benchmark suite and writes the machine-readable
 # results committed with each PR (name, ns/op, B/op, allocs/op, and the
 # sim-cycles metric). Progress streams to stderr while it runs.
-BENCH_JSON ?= BENCH_PR15.json
+BENCH_JSON ?= BENCH_PR16.json
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 
@@ -52,6 +52,19 @@ fuzz-short:
 # goldens under internal/twin/validate/testdata pin the full reports.
 twin-validate:
 	$(GO) run ./cmd/sweep -twin-validate -fast
+
+# goldens is the exactness gate at the paper's sizes: perfbench runs one
+# Table 2 grid (n=256) and one Table 1 grid (Class A) and checks every
+# cell's simulated result against its committed golden, then perfbench's
+# own tests run. perfbench exits 0 on a golden mismatch, so each run's
+# last line must carry "correct":true.
+goldens:
+	@set -e; for args in "--workload mmp-grid --seconds 1" "--workload cg-grid --seed 0 --seconds 1"; do \
+		last=$$(bash perfbench/run.sh $$args | tail -n 1); \
+		case "$$last" in *'"correct":true'*) echo "goldens: $$args correct";; \
+			*) echo "goldens: perfbench $$args failed its goldens: $$last"; exit 1;; esac; \
+	done
+	$(GO) -C perfbench test ./...
 
 # serve-smoke is the end-to-end check for the experiment service: boot
 # impulsed on an ephemeral port, submit a small Table 1 job through
@@ -196,8 +209,9 @@ saturate-smoke:
 
 # ci is the pre-PR gate: formatting, vet, build, full tests, the race
 # detector over the short suite, a short decoder fuzz, the analytical
-# twin validation (fast geometry, hard error bounds), the service and
-# fleet smoke tests, and a warn-only benchmark diff against the committed
+# twin validation (fast geometry, hard error bounds), the paper-size
+# per-cell goldens, the service and fleet smoke tests, and a warn-only
+# benchmark diff against the committed
 # baseline. Benchmarks on shared CI hosts are too noisy to be a hard
 # gate; a regression warns but does not fail the build — see
 # docs/PERF.md. Run it before every PR.
@@ -210,6 +224,7 @@ ci:
 	$(GO) test -race -short ./...
 	$(MAKE) fuzz-short
 	$(MAKE) twin-validate
+	$(MAKE) goldens
 	$(MAKE) serve-smoke
 	$(MAKE) saturate-smoke
 	@$(MAKE) bench-diff BENCH_THRESHOLD=5 || \

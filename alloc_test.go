@@ -14,8 +14,8 @@ import (
 )
 
 // TestSimHotPathAllocs requires the steady-state access path — repeat
-// loads and stores hitting the same resident L1 line — to allocate
-// nothing at all.
+// loads and stores hitting the same resident L1 line, ordinary or
+// remapped — to allocate nothing at all.
 func TestSimHotPathAllocs(t *testing.T) {
 	s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse})
 	if err != nil {
@@ -29,6 +29,15 @@ func TestSimHotPathAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { s.StoreF64(x, 2.5) }); avg != 0 {
 		t.Errorf("L1-hit store allocates %.2f per op, want 0", avg)
+	}
+
+	// The same on a remapped line: a strided alias resident in the L1.
+	s, x = residentShadowLine(t)
+	if avg := testing.AllocsPerRun(1000, func() { s.LoadF64(x) }); avg != 0 {
+		t.Errorf("shadow L1-hit load allocates %.2f per op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { s.StoreF64(x, 2.5) }); avg != 0 {
+		t.Errorf("shadow L1-hit store allocates %.2f per op, want 0", avg)
 	}
 }
 

@@ -253,6 +253,41 @@ func BenchmarkSimL1Hit(b *testing.B) {
 	}
 }
 
+// residentShadowLine builds a system whose first strided-alias line is
+// resident in the L1 and in the fast table: row 0 of a 32x32 tile of a
+// 256x256 matrix, remapped as Table 2's tile remapping does, loaded once
+// to fill the line and once more to populate the table.
+func residentShadowLine(tb testing.TB) (*impulse.System, impulse.VAddr) {
+	tb.Helper()
+	s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const n, t = 256, 32
+	m := s.MustAlloc(n*n*8, 0)
+	a, err := s.NewStridedAlias(t*8, n*8, t, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Retarget(a, m, (t-1)*n*8+t*8, impulse.Purge); err != nil {
+		tb.Fatal(err)
+	}
+	s.LoadF64(a.VA)
+	s.LoadF64(a.VA)
+	return s, a.VA
+}
+
+// BenchmarkSimShadowL1Hit measures the host cost of a simulated L1 load
+// hit on a remapped (strided-alias) line; beside BenchmarkSimL1Hit it
+// shows what a shadow hit costs over an ordinary one.
+func BenchmarkSimShadowL1Hit(b *testing.B) {
+	s, x := residentShadowLine(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.LoadF64(x)
+	}
+}
+
 // BenchmarkSimMemoryMiss measures the host cost of a simulated full
 // memory access (cold line each time).
 func BenchmarkSimMemoryMiss(b *testing.B) {

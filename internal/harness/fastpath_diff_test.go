@@ -99,12 +99,16 @@ func TestFastPathTable2Identity(t *testing.T) {
 // per workload mode with the fast path on and off and requires the raw
 // bytes to match. This is the strongest form of the contract: every
 // recorded machine command, tick count, and PV image must agree, not
-// just the end-of-run counters.
+// just the end-of-run counters. The recorded bytes hold virtual
+// addresses only, so the full sim.TraceEvent stream is compared too:
+// cycle, level, latency, bus address and Shadow flag of every load,
+// store and flush. The tile-remap and recolor runs commit Strided and
+// Direct shadow lines on the fast path.
 func TestFastPathTraceBytesIdentity(t *testing.T) {
 	par := smallCG()
 	m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 	record := func(disable bool, kind core.ControllerKind, pf core.PrefetchPolicy,
-		exec func(s *core.System) error) []byte {
+		exec func(s *core.System) error) ([]byte, []sim.TraceEvent) {
 		t.Helper()
 		cfg := sim.DefaultConfig()
 		cfg.DisableFastPath = disable
@@ -113,6 +117,8 @@ func TestFastPathTraceBytesIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := tracefile.RecordRun(s)
+		var events []sim.TraceEvent
+		s.SetTracer(func(e sim.TraceEvent) { events = append(events, e) })
 		if err := exec(s); err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +127,7 @@ func TestFastPathTraceBytesIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
+		return data, events
 	}
 	cases := []struct {
 		name string
@@ -148,10 +154,19 @@ func TestFastPathTraceBytesIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			on := record(false, tc.kind, tc.pf, tc.exec)
-			off := record(true, tc.kind, tc.pf, tc.exec)
+			on, onEvents := record(false, tc.kind, tc.pf, tc.exec)
+			off, offEvents := record(true, tc.kind, tc.pf, tc.exec)
 			if !bytes.Equal(on, off) {
 				t.Errorf("recorded trace bytes differ with fast path on (%d vs %d bytes)", len(on), len(off))
+			}
+			for i := range offEvents {
+				if i >= len(onEvents) || onEvents[i] != offEvents[i] {
+					t.Fatalf("trace event %d of %d differs:\nfast on  %+v\nfast off %+v",
+						i, len(offEvents), onEvents[min(i, len(onEvents)-1)], offEvents[i])
+				}
+			}
+			if len(onEvents) != len(offEvents) {
+				t.Fatalf("fast path on emitted %d trace events, off %d", len(onEvents), len(offEvents))
 			}
 		})
 	}

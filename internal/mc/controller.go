@@ -95,12 +95,15 @@ type descState struct {
 	vecLines []uint64   // cached indirection-vector DRAM line addresses
 	vecNext  int
 
-	// vecFn is the functional indirection-vector reader (Gather only;
-	// nil otherwise), built once at SetDescriptor so the per-access
-	// resolve/gather paths don't allocate a closure per call.
+	// vecFn is the functional indirection-vector reader, built the
+	// first time the slot holds a Gather descriptor so the per-access
+	// resolve/gather paths don't allocate a closure per call. It reads
+	// the slot's current descriptor, so it outlives retargets; other
+	// kinds never call it.
 	vecFn func(i uint64) uint32
 
-	// Per-descriptor activity, exposed through the obs registry. Plain
+	// Per-descriptor activity, exposed through the obs registry: totals
+	// for the run, kept across every SetDescriptor on the slot. Plain
 	// increments kept whether or not a hub is attached: one add per
 	// shadow-line event is cheaper than a branch is worth.
 	gathers    uint64 // demand lines built by gathering from DRAM
@@ -141,6 +144,10 @@ type Controller struct {
 	// page-table downloads.
 	opRec OpRecorder
 
+	// onRemap runs after every operation that can change what a shadow
+	// address resolves to (nil = nobody listening). See SetRemapHook.
+	onRemap func()
+
 	h     *obs.Hub
 	track obs.TrackID
 }
@@ -157,6 +164,20 @@ type OpRecorder interface {
 
 // SetOpRecorder attaches (or detaches, with nil) an OS-op recorder.
 func (c *Controller) SetOpRecorder(r OpRecorder) { c.opRec = r }
+
+// SetRemapHook installs f (nil detaches) to run after every operation
+// that can change the functional resolution of a shadow address:
+// SetDescriptor, ClearDescriptor and MapPV. The machine uses it to drop
+// cached shadow-line translations (LineBase answers), so no caller of
+// those operations can leave a stale one behind. InvalidateTLB and
+// InvalidateBuffers change timing only and do not fire it.
+func (c *Controller) SetRemapHook(f func()) { c.onRemap = f }
+
+func (c *Controller) remapped() {
+	if c.onRemap != nil {
+		c.onRemap()
+	}
+}
 
 // New builds a controller attached to the given DRAM model and simulated
 // memory (used for functional indirection-vector reads). st may be nil.
@@ -236,18 +257,25 @@ func (c *Controller) SetDescriptor(slot int, d Descriptor) error {
 			return fmt.Errorf("mc: descriptor overlaps slot %d", i)
 		}
 	}
-	c.descs[slot] = descState{
-		d:        d,
-		active:   true,
-		buf:      make([]bufEntry, c.cfg.DescBufBytes/c.cfg.LineBytes),
-		vecLines: []uint64{^uint64(0), ^uint64(0)},
+	// Reset the slot's buffers in place: a new descriptor starts with
+	// an empty prefetch buffer and vector-line cache, while the activity
+	// counters keep accumulating for the run.
+	ds := &c.descs[slot]
+	ds.d = d
+	ds.active = true
+	clear(ds.buf)
+	ds.bufNext = 0
+	for i := range ds.vecLines {
+		ds.vecLines[i] = ^uint64(0)
 	}
-	if d.Kind == Gather {
-		c.descs[slot].vecFn = c.makeVecFn(&c.descs[slot])
+	ds.vecNext = 0
+	if d.Kind == Gather && ds.vecFn == nil {
+		ds.vecFn = c.makeVecFn(ds)
 	}
 	if c.opRec != nil {
 		c.opRec.RecSetDescriptor(slot, d)
 	}
+	c.remapped()
 	return nil
 }
 
@@ -258,6 +286,7 @@ func (c *Controller) ClearDescriptor(slot int) {
 		if c.opRec != nil {
 			c.opRec.RecClearDescriptor(slot)
 		}
+		c.remapped()
 	}
 }
 
@@ -286,6 +315,7 @@ func (c *Controller) MapPV(pvpage, frame uint64) {
 	if c.opRec != nil {
 		c.opRec.RecMapPV(pvpage, frame)
 	}
+	c.remapped()
 }
 
 // MapPVRange maps consecutive pseudo-virtual pages starting at the page of
@@ -348,6 +378,45 @@ func (c *Controller) ResolveInto(dst []Run, p addr.PAddr, n uint64) ([]Run, erro
 	if ds == nil {
 		return nil, fmt.Errorf("mc: no descriptor covers shadow address %v", p)
 	}
+	return c.resolve(dst, ds, p, n)
+}
+
+// LineBase reports the physical address of shadow byte p when the whole
+// range [p, p+n) resolves, through a Direct or Strided descriptor, to one
+// physically contiguous run starting there — so byte p+i lives at
+// LineBase+i for every i < n. The machine caches the answer for a
+// resident L1 line; it stays exact until the next remap (SetRemapHook).
+// Gather ranges always report false: their resolution reads the
+// indirection vector from simulated memory, which a CPU store can change
+// without any controller operation. A Strided range spanning several
+// objects that are not packed back to back also reports false, by shape
+// and without a walk: it is never one run unless two pseudo-virtual pages
+// alias one frame, and missing that case only costs the fast path.
+func (c *Controller) LineBase(p addr.PAddr, n uint64) (addr.PAddr, bool) {
+	ds := c.findDesc(p)
+	if ds == nil || ds.d.Kind == Gather {
+		return 0, false
+	}
+	if d := &ds.d; d.Kind == Strided && d.ObjBytes < n && d.StrideBytes != d.ObjBytes {
+		return 0, false
+	}
+	runs, err := c.resolve(c.runsBuf[:0], ds, p, n)
+	c.runsBuf = runs[:0]
+	if err != nil || len(runs) == 0 {
+		return 0, false
+	}
+	next := runs[0].P
+	for _, r := range runs {
+		if r.P != next {
+			return 0, false
+		}
+		next += addr.PAddr(r.Bytes)
+	}
+	return runs[0].P, true
+}
+
+// resolve is ResolveInto under an already-found descriptor.
+func (c *Controller) resolve(dst []Run, ds *descState, p addr.PAddr, n uint64) ([]Run, error) {
 	off := uint64(p) - uint64(ds.d.ShadowBase)
 	pieces, err := ds.d.appendPieces(c.piecesBuf[:0], off, n, ds.vecFn)
 	c.piecesBuf = pieces[:0]

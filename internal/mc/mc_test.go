@@ -214,6 +214,55 @@ func TestResolveGather(t *testing.T) {
 	}
 }
 
+// TestLineBase: a shadow range reports its physical base only when a
+// Direct or Strided descriptor maps every byte of it contiguously from
+// that base.
+func TestLineBase(t *testing.T) {
+	r := newRig(t, false)
+	const sh = addr.PAddr(1 << 30)
+	const page = addr.PAddr(addr.PageSize)
+	const vecPV = addr.PVAddr(0x100000)
+	descs := []Descriptor{
+		{Kind: Direct, ShadowBase: sh, Bytes: 3 * addr.PageSize, PVBase: 0x10000000},
+		{Kind: Strided, ShadowBase: sh + 3*page, Bytes: addr.PageSize, PVBase: 0, ObjBytes: 64, StrideBytes: 256},
+		{Kind: Gather, ShadowBase: sh + 4*page, Bytes: addr.PageSize, PVBase: 0, ObjBytes: 8, StrideBytes: 8, VecPV: vecPV},
+		{Kind: Strided, ShadowBase: sh + 5*page, Bytes: addr.PageSize, PVBase: 0, ObjBytes: 8, StrideBytes: 8},
+		{Kind: Strided, ShadowBase: sh + 6*page, Bytes: addr.PageSize, PVBase: 0, ObjBytes: 8, StrideBytes: 16},
+	}
+	for i, d := range descs {
+		if err := r.c.SetDescriptor(i, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.c.MapPVRange(descs[0].PVBase, []uint64{7, 3, 4})
+	r.identityMap(0, 0, 16)
+	r.identityMap(vecPV, 16, 1)
+	for k := uint64(0); k < 512; k++ {
+		r.mem.Store32(addr.PAddr(16<<addr.PageShift)+addr.PAddr(4*k), uint32(k))
+	}
+	cases := []struct {
+		name string
+		p    addr.PAddr
+		want addr.PAddr // 0 = no contiguous base
+	}{
+		{"direct within a page", sh + 0x120, 7<<addr.PageShift | 0x120},
+		{"direct across non-adjacent frames", sh + page - 16, 0},
+		{"direct across adjacent frames", sh + 2*page - 16, 3<<addr.PageShift | (addr.PageSize - 16)},
+		{"strided within an object", sh + 3*page + 64 + 32, 256 + 32},
+		{"strided across objects", sh + 3*page + 48, 0},
+		{"gather with consecutive entries", sh + 4*page, 0},
+		{"strided small objects packed", sh + 5*page + 64, 64},
+		{"strided small objects with gaps", sh + 6*page + 64, 0},
+		{"no descriptor", sh + 7*page, 0},
+	}
+	for _, tc := range cases {
+		got, ok := r.c.LineBase(tc.p, 32)
+		if ok != (tc.want != 0) || got != tc.want {
+			t.Errorf("%s: LineBase(%v, 32) = %v, %v; want %v", tc.name, tc.p, got, ok, tc.want)
+		}
+	}
+}
+
 // Property: gather resolution equals the indirection-vector semantics for
 // random vectors and strides.
 func TestQuickGatherOracle(t *testing.T) {

@@ -63,7 +63,7 @@ type Config struct {
 	// width > 1.
 	IssueWidth uint64
 
-	// DisableFastPath turns off the MRU line-hit fast path in the access
+	// DisableFastPath turns off the line-hit fast path in the access
 	// engine (see fastpath.go), forcing every load and store through the
 	// reference translate+probe sequence. The fast path is cycle- and
 	// counter-identical to the reference path by construction; this knob

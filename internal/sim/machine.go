@@ -63,20 +63,31 @@ type Machine struct {
 	fastVec      []fastEntry
 	fastVecMask  uint64
 	fastVecGen   uint32
-	fastVecShift uint8
+	fastVecShift uint8 // log2 of the L1 line size
 	fastOn       bool
+
+	// Host-side fast-table counters, registered by AttachObs as
+	// sim.fast.*: committed fast accesses and the shadow-line share of
+	// them (both counted while a hub is attached; see countFastHit),
+	// and generation bumps (including the one at construction). They
+	// describe host work only and stay out of MemStats, so a simulated
+	// result never depends on them.
+	fastHits          uint64
+	fastShadowHits    uint64
+	fastInvalidations uint64
 
 	// Page-translation memo in front of the TLB (fastpath.go invariant 1
 	// applies unchanged: populated only on a TLB hit, when a repeat
 	// reference lookup would be state-free — the hit counter and ref bit
 	// are not observable and the ref set is idempotent — and invalidated
-	// by fastInvalidateAll alongside the line MRU). Shadow accesses
-	// bypass the line MRU but stream through pages sequentially, so this
-	// memo is what keeps their translation cost flat. Four entries with
-	// round-robin replacement, because the CG inner loops interleave
-	// three-plus streams on different pages and a one-entry memo thrashed
-	// between them. Empty entries hold fastInvalid (no virtual page
-	// number is all-ones).
+	// by fastInvalidateAll alongside the line table). It serves the
+	// accesses the line table does not: first touches of a line, L2 hits
+	// and misses, and Gather shadow lines, which stream through pages
+	// sequentially, so this memo keeps their translation cost flat. Four
+	// entries with round-robin replacement, because the CG inner loops
+	// interleave three-plus streams on different pages and a one-entry
+	// memo thrashed between them. Empty entries hold fastInvalid (no
+	// virtual page number is all-ones).
 	fastPages    [fastPageWays]uint64
 	fastFrames   [fastPageWays]uint64
 	fastPageNext uint8
@@ -167,6 +178,9 @@ func New(cfg Config) (*Machine, error) {
 		m.fastVecShift = uint8(bits.TrailingZeros64(cfg.L1.LineBytes))
 	}
 	m.fastInvalidateAll()
+	// Shadow entries cache the controller's resolution of their line, so
+	// every functional remap must kill them, whoever calls it.
+	controller.SetRemapHook(m.fastInvalidateAll)
 	return m, nil
 }
 

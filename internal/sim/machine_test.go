@@ -2,9 +2,11 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"impulse/internal/addr"
 	"impulse/internal/mc"
+	"impulse/internal/obs"
 )
 
 // testMachine builds a machine with a small DRAM to keep tests light.
@@ -390,5 +392,46 @@ func TestStoreBacklogThrottles(t *testing.T) {
 	}
 	if bu := m2.Bus.BusyUntil(); bu < m2.Now()+10*lim {
 		t.Errorf("unthrottled horizon only %d ahead; throttle test not meaningful", bu-m2.Now())
+	}
+}
+
+// TestFastEntrySize pins the fast-table entry at 32 bytes (the table
+// holds four entries per L1 line): the L1 tag is computed from pbase
+// rather than stored, which leaves room for the shadow data base.
+func TestFastEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(fastEntry{}); got != 32 {
+		t.Errorf("fastEntry is %d bytes, want 32", got)
+	}
+}
+
+// TestFastCounters: with a hub attached, sim.fast.hits counts every L1
+// hit committed on the fast path, loads and stores; a machine without a
+// hub skips the counting, which is then free on the fast path.
+func TestFastCounters(t *testing.T) {
+	run := func(h *obs.Hub) *Machine {
+		m := testMachine(t)
+		if h != nil {
+			m.AttachObs(h)
+		}
+		va := alloc(t, m, 4096)
+		m.Load64(va) // fill; the line enters the fast table
+		for i := 0; i < 4; i++ {
+			m.Load64(va + 8)
+		}
+		m.Store64(va+16, 1)
+		return m
+	}
+	h := obs.New(obs.Config{})
+	m := run(h)
+	hits, _ := h.Reg().Value("sim.fast.hits")
+	shadow, _ := h.Reg().Value("sim.fast.shadow_hits")
+	if l1 := m.St.L1LoadHits + m.St.L1StoreHits; hits != 5 || l1 != 5 {
+		t.Errorf("sim.fast.hits = %d, L1 hits = %d; want 5 each", hits, l1)
+	}
+	if shadow != 0 {
+		t.Errorf("sim.fast.shadow_hits = %d on ordinary lines", shadow)
+	}
+	if m := run(nil); m.fastHits != 0 || m.St.L1LoadHits != 4 {
+		t.Errorf("without a hub: fastHits = %d, L1LoadHits = %d; want 0 and 4", m.fastHits, m.St.L1LoadHits)
 	}
 }

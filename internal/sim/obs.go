@@ -10,8 +10,9 @@ import (
 // bus, the controller, and each DRAM bank; windowed series metrics for
 // bus/DRAM occupancy and per-level load classification; and registry
 // entries for every MemStats counter plus the shared resources'
-// accounting. Attaching is observation only — it never changes a
-// simulated cycle (see TestObsDoesNotPerturbTiming).
+// accounting and the fast table's host-side counters (sim.fast.*).
+// Attaching is observation only — it never changes a simulated cycle
+// (see TestObsDoesNotPerturbTiming).
 func (m *Machine) AttachObs(h *obs.Hub) {
 	m.obs = h
 	m.cpuTrack = h.Track("cpu")
@@ -28,6 +29,9 @@ func (m *Machine) AttachObs(h *obs.Hub) {
 	r.Gauge("machine.cycles", func() uint64 { return m.clock })
 	r.Gauge("l2port.busy_cycles", m.l2port.BusyCycles)
 	r.Gauge("l2port.reservations", m.l2port.Uses)
+	r.Counter("sim.fast.hits", &m.fastHits)
+	r.Counter("sim.fast.shadow_hits", &m.fastShadowHits)
+	r.Counter("sim.fast.invalidations", &m.fastInvalidations)
 	m.St.Register(r, "stats.")
 }
 
