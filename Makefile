@@ -24,7 +24,7 @@ bench:
 # bench-json runs the benchmark suite and writes the machine-readable
 # results committed with each PR (name, ns/op, B/op, allocs/op, and the
 # sim-cycles metric). Progress streams to stderr while it runs.
-BENCH_JSON ?= BENCH_PR16.json
+BENCH_JSON ?= BENCH_PR17.json
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 
@@ -37,13 +37,15 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem ./... | \
 		$(GO) run ./cmd/benchjson -compare $(BENCH_JSON) -threshold $(BENCH_THRESHOLD)
 
-# fuzz-short gives the binary decoders a brief randomized shakedown;
-# the corpus seeds cover real recorded payloads plus known-malformed
-# shapes. Two decoders run: the trace replay decoder and the columnar
-# result decoder (which must reject every malformed blob without
-# panicking).
+# fuzz-short gives two parsers of outside bytes a brief randomized
+# shakedown; the corpus seeds cover real payloads plus known-malformed
+# shapes. The experiment-spec parser must never panic and must re-parse
+# every spec it accepts, marshalled back to JSON, to the same canonical
+# encoding and hash (store recovery drops a sidecar that does not). The
+# columnar result decoder must reject every malformed blob without
+# panicking.
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime 10s ./internal/tracefile
+	$(GO) test -run '^$$' -fuzz FuzzSpecCanonical -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/colres
 
 # twin-validate runs every analytical twin against a full simulator
@@ -171,8 +173,8 @@ saturate-smoke:
 	cat $$dir/load.out; \
 	grep -qF 'load ok: 24/24' $$dir/load.out || { echo "saturate-smoke: burst failed"; exit 1; }; \
 	total=0; for i in 0 1 2; do \
-		n=$$(curl -fsS "http://$$(cat $$dir/addr$$i)/metrics?format=plain" | \
-			awk '$$1=="service.jobs_executed"{print $$2}'); \
+		n=$$(curl -fsS "http://$$(cat $$dir/addr$$i)/metrics" | \
+			awk '$$1=="service_jobs_executed"{print $$2}'); \
 		total=$$((total + n)); \
 	done; \
 	[ "$$total" = 1 ] || { echo "saturate-smoke: fleet-wide single-flight violated: $$total executions"; exit 1; }; \
@@ -190,17 +192,17 @@ saturate-smoke:
 	code=$$(curl -s -o $$dir/re.out -w '%{http_code}' -X POST \
 		-d '{"kind":"table1","n":240,"nonzer":4,"niter":1,"cgits":2}' http://$$af/v1/jobs); \
 	case $$code in 2*) ;; *) echo "saturate-smoke: reroute submit got $$code"; cat $$dir/re.out; exit 1;; esac; \
-	rerouted=$$(curl -fsS "http://$$af/metrics?format=plain" | \
-		awk '$$1=="fleet.submits_rerouted"{print $$2}'); \
+	rerouted=$$(curl -fsS "http://$$af/metrics" | \
+		awk '$$1=="fleet_submits_rerouted"{print $$2}'); \
 	[ "$$rerouted" -ge 1 ] 2>/dev/null || \
-		{ echo "saturate-smoke: router never rerouted (fleet.submits_rerouted=$$rerouted)"; exit 1; }; \
+		{ echo "saturate-smoke: router never rerouted (fleet_submits_rerouted=$$rerouted)"; exit 1; }; \
 	echo "reroute OK after losing $$owner"; \
 	case $$owner in s0) archdir=$$dir/arch0;; s1) archdir=$$dir/arch1;; s2) archdir=$$dir/arch2;; esac; \
 	$$dir/impulsed -addr 127.0.0.1:0 -addr-file $$dir/addrR -archive-dir $$archdir \
 		2>$$dir/restart.log & p0b=$$!; \
 	for t in $$(seq 1 100); do [ -s $$dir/addrR ] && break; sleep 0.1; done; \
-	recovered=$$(curl -fsS "http://$$(cat $$dir/addrR)/metrics?format=plain" | \
-		awk '$$1=="service.jobs_recovered"{print $$2}'); \
+	recovered=$$(curl -fsS "http://$$(cat $$dir/addrR)/metrics" | \
+		awk '$$1=="service_jobs_recovered"{print $$2}'); \
 	[ "$$recovered" -ge 1 ] 2>/dev/null || \
 		{ echo "saturate-smoke: restarted shard recovered nothing"; cat $$dir/restart.log; exit 1; }; \
 	echo "restart durability OK: $$recovered result(s) recovered from $$archdir"; \
@@ -208,10 +210,10 @@ saturate-smoke:
 	echo "saturate-smoke OK"
 
 # ci is the pre-PR gate: formatting, vet, build, full tests, the race
-# detector over the short suite, a short decoder fuzz, the analytical
-# twin validation (fast geometry, hard error bounds), the paper-size
-# per-cell goldens, the service and fleet smoke tests, and a warn-only
-# benchmark diff against the committed
+# detector over the short suite, a short fuzz of the spec parser and the
+# columnar decoder, the analytical twin validation (fast geometry, hard
+# error bounds), the paper-size per-cell goldens, the service and fleet
+# smoke tests, and a warn-only benchmark diff against the committed
 # baseline. Benchmarks on shared CI hosts are too noisy to be a hard
 # gate; a regression warns but does not fail the build — see
 # docs/PERF.md. Run it before every PR.

@@ -27,7 +27,6 @@ import (
 	"impulse/internal/obs"
 	"impulse/internal/profiling"
 	"impulse/internal/sim"
-	"impulse/internal/tracefile"
 	"impulse/internal/workloads"
 )
 
@@ -35,8 +34,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("impulse-sim: ")
 
-	workload := flag.String("workload", "cg", "workload: cg|mmp|cholesky|spark|db|diag|ipc|script|replay")
-	scriptFile := flag.String("file", "", "script or trace file (workload=script|replay)")
+	workload := flag.String("workload", "cg", "workload: cg|mmp|cholesky|spark|db|diag|ipc|script")
+	scriptFile := flag.String("file", "", "script file (workload=script)")
 	mode := flag.String("mode", "conventional", "cg: conventional|sg|recolor; mmp: nocopy|copy|remap; diag/ipc: conventional|impulse")
 	prefetch := flag.String("prefetch", "none", "prefetch policy: none|mc|l1|both")
 	n := flag.Int("n", 0, "problem dimension (0 = workload default)")
@@ -47,8 +46,6 @@ func main() {
 	selftest := flag.Bool("selftest", false, "run the randomized end-to-end gather verification and exit")
 	events := flag.Int("events", 0, "print the first N simulated memory events")
 	hist := flag.Bool("hist", false, "print the load-latency histogram after the run")
-	record := flag.String("record", "", "record the run's address trace to this file")
-	replayTicks := flag.Int("replay-ticks", 1, "non-memory cycles charged per replayed access")
 	tracePath := flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON of the run to this file")
 	traceLimit := flag.Int("trace-limit", 1<<20, "maximum span events retained in the trace buffer")
 	seriesPath := flag.String("series", "", "write windowed utilization time-series to this file (.json for JSON, else CSV)")
@@ -103,8 +100,6 @@ func main() {
 	}
 
 	var lastSys *impulse.System
-	var traceWriter *tracefile.Writer
-	var traceFile *os.File
 	newSystem := func(kind core.ControllerKind) *impulse.System {
 		s, err := impulse.NewSystem(impulse.Options{Controller: kind, Prefetch: pf})
 		if err != nil {
@@ -113,17 +108,6 @@ func main() {
 		lastSys = s
 		if hub != nil {
 			s.AttachObs(hub)
-		}
-		if *record != "" && traceWriter == nil {
-			traceFile, err = os.Create(*record)
-			if err != nil {
-				log.Fatal(err)
-			}
-			traceWriter, err = tracefile.NewWriter(traceFile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			s.SetTracer(traceWriter.Attach())
 		}
 		if *events > 0 {
 			remaining := *events
@@ -138,29 +122,6 @@ func main() {
 	}
 
 	switch *workload {
-	case "replay":
-		if *scriptFile == "" {
-			log.Fatal("workload=replay requires -file")
-		}
-		f, err := os.Open(*scriptFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		recs, err := tracefile.Read(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		kind := impulse.Conventional
-		if *mode == "impulse" || pf == impulse.PrefetchMC || pf == impulse.PrefetchBoth {
-			kind = impulse.Impulse
-		}
-		row, err := tracefile.Replay(newSystem(kind), recs, uint64(*replayTicks))
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("replayed %d accesses: %v\n", len(recs), row)
-
 	case "script":
 		if *scriptFile == "" {
 			log.Fatal("workload=script requires -file")
@@ -347,13 +308,6 @@ func main() {
 
 	default:
 		log.Fatalf("unknown workload %q", *workload)
-	}
-	if traceWriter != nil {
-		if err := traceWriter.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		traceFile.Close()
-		fmt.Fprintf(os.Stderr, "recorded %d accesses to %s\n", traceWriter.Count(), *record)
 	}
 	if *hist && lastSys != nil {
 		fmt.Printf("\nload-latency histogram (cycles):\n%s", lastSys.St.LoadLatency.String())

@@ -16,7 +16,7 @@
 //	impulsectl [-addr host:port] watch  <job-id>
 //	impulsectl [-addr host:port] load [-n 8] [-tier twin] [-spec JSON | -f spec.json]
 //	impulsectl [-addr host:port] saturate [-rates 500,1000,...] [-duration 3s] [-o FILE]
-//	impulsectl [-addr host:port] metrics [-plain]
+//	impulsectl [-addr host:port] metrics
 //	impulsectl [-addr host:port] top [-interval 2s] [-once]
 package main
 
@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -109,7 +108,7 @@ commands:
   saturate -rates R1,R2,...       sweep open-loop arrival rates against a warmed daemon or
                                   fleet; report served req/s, p50/p99, and the saturation knee
                                   (-o FILE merges benchjson Saturate/ records for committing)
-  metrics                         dump /metrics (Prometheus format; -plain for name/value lines)
+  metrics                         dump /metrics (Prometheus text exposition)
   top                             polling dashboard: queue, cache hit rate, latency quantiles
 `)
 }
@@ -398,28 +397,23 @@ func cmdWatch(args []string) error {
 	return sc.Err()
 }
 
-// metric reads one scalar from the daemon's legacy plain exposition
-// (the Prometheus format is the /metrics default since the typed
-// registry landed; scripts keyed on exact names use ?format=plain).
+// metric reads one unlabelled series (a sanitized Prometheus name such
+// as service_jobs_executed) from the daemon's /metrics exposition.
 func metric(name string) (uint64, error) {
-	resp, err := http.Get(base + "/metrics?format=plain")
+	snap, err := scrapeProm()
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 2 && fields[0] == name {
-			return strconv.ParseUint(fields[1], 10, 64)
-		}
+	v, ok := snap.scalars[name]
+	if !ok {
+		return 0, fmt.Errorf("metric %s not found", name)
 	}
-	return 0, fmt.Errorf("metric %s not found", name)
+	return v, nil
 }
 
 // cmdLoad submits n copies of the same spec concurrently and verifies
 // the single-flight guarantee: every submission lands on one job, every
-// result is byte-identical, and service.jobs_executed rises by exactly
+// result is byte-identical, and service_jobs_executed rises by exactly
 // one (unless the spec was already cached, in which case by zero).
 func cmdLoad(args []string) error {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
@@ -450,10 +444,10 @@ func cmdLoad(args []string) error {
 			return err
 		}
 	}
-	// A fleet router's /metrics has no service.jobs_executed (executions
+	// A fleet router's /metrics has no service_jobs_executed (executions
 	// happen on the shards); the execution-count check is skipped there
 	// and the smoke tests sum the shard-side counters instead.
-	before, execErr := metric("service.jobs_executed")
+	before, execErr := metric("service_jobs_executed")
 
 	// Per-request latency of this client's own stream (submits and
 	// result fetches), bucketed the same way the daemon buckets its
@@ -534,7 +528,7 @@ func cmdLoad(args []string) error {
 
 	execs := "executions n/a (routed)"
 	if execErr == nil {
-		after, err := metric("service.jobs_executed")
+		after, err := metric("service_jobs_executed")
 		if err != nil {
 			return err
 		}

@@ -62,13 +62,8 @@ func cmdTrace(args []string) error {
 
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	plain := fs.Bool("plain", false, "legacy \"name value\" format instead of Prometheus exposition")
 	fs.Parse(args)
-	url := base + "/metrics"
-	if *plain {
-		url += "?format=plain"
-	}
-	resp, err := http.Get(url)
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		return err
 	}

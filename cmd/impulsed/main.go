@@ -51,8 +51,6 @@ func main() {
 	archiveBytes := flag.Int64("archive-bytes", 256<<20, "byte budget for archived columnar result blobs (LRU evicts beyond it)")
 	archiveDir := flag.String("archive-dir", "", "directory for archived result blobs (empty: private temp dir, removed on exit)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "harness worker goroutines per running job")
-	traceRecord := flag.String("trace-record", "", "record each reference stream once and persist it to this directory")
-	traceReplay := flag.String("trace-replay", "", "load previously persisted traces from this directory")
 	route := flag.String("route", "", "comma-separated shard URLs (name=url or bare url): serve as a fleet router over these backends instead of executing locally")
 	cyclesPerSec := flag.Float64("fleet-cycles-per-sec", 0, "with -route: simulated cycles one shard executor burns per wall second (Retry-After calibration; 0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long graceful shutdown waits for in-flight jobs")
@@ -81,11 +79,9 @@ func main() {
 	slog.SetDefault(log)
 
 	impulse.SetWorkers(*jobs)
-	impulse.SetTraceRecordDir(*traceRecord)
-	impulse.SetTraceReplayDir(*traceReplay)
-	// Route one-shot advisory notes (e.g. trace persistence failures)
-	// through the structured log instead of bare stderr. Notes fired
-	// inside a job carry its id (obs.WarnOnceCtx).
+	// Route one-shot advisory notes through the structured log instead
+	// of bare stderr. Notes fired inside a job carry its id
+	// (obs.WarnOnceCtx).
 	obs.SetWarnOutput(warnWriter{log})
 
 	svc := service.New(service.Config{

@@ -30,12 +30,8 @@ func main() {
 	svg := flag.String("svg", "", "also write the Table 1/2 speedup charts as SVG files with this prefix")
 	counters := flag.String("counters", "", "dump every measured row's counters to this file after the run (\"-\" for stdout)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for experiment rows (output is identical for any value)")
-	traceRecord := flag.String("trace-record", "", "record each reference stream once and persist it to this directory")
-	traceReplay := flag.String("trace-replay", "", "load previously persisted traces from this directory")
 	flag.Parse()
 	harness.SetWorkers(*jobs)
-	harness.SetTraceRecordDir(*traceRecord)
-	harness.SetTraceReplayDir(*traceReplay)
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

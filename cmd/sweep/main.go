@@ -35,8 +35,6 @@ func main() {
 	fast := flag.Bool("fast", false, "reduced geometries (seconds instead of minutes)")
 	counters := flag.String("counters", "", "dump every measured row's counters to this file after the run (\"-\" for stdout)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for experiment rows (output is identical for any value)")
-	traceRecord := flag.String("trace-record", "", "record each reference stream once and persist it to this directory")
-	traceReplay := flag.String("trace-replay", "", "load previously persisted traces from this directory")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	twinValidate := flag.Bool("twin-validate", false, "validate the analytical twins against full simulation and exit (honors -fast, -j)")
@@ -48,8 +46,6 @@ func main() {
 	}
 	defer stopProfiles()
 	harness.SetWorkers(*jobs)
-	harness.SetTraceRecordDir(*traceRecord)
-	harness.SetTraceReplayDir(*traceReplay)
 
 	found := false
 	for _, n := range valid {

@@ -27,12 +27,8 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress output")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of the text table")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for table cells (output is identical for any value)")
-	traceRecord := flag.String("trace-record", "", "record each reference stream once and persist it to this directory")
-	traceReplay := flag.String("trace-replay", "", "load previously persisted traces from this directory")
 	flag.Parse()
 	impulse.SetWorkers(*jobs)
-	impulse.SetTraceRecordDir(*traceRecord)
-	impulse.SetTraceReplayDir(*traceReplay)
 
 	par := impulse.MMPParams{N: *n, Tile: *tile}
 	progress := func(section, column string) {

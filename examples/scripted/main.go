@@ -1,5 +1,5 @@
 // Example scripted: drive the simulator from a memory-access program —
-// the trace-replay front end. One script expresses both variants of a
+// the scripted front end. One script expresses both variants of a
 // strided-sum kernel: the `impulse` block runs on an Impulse system, the
 // `else` block on a conventional one, so the same program is measured on
 // both machines and must compute the same answer.

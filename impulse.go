@@ -141,15 +141,11 @@ func SetWorkers(n int) { harness.SetWorkers(n) }
 // Workers returns the configured experiment pool width.
 func Workers() int { return harness.Workers() }
 
-// SetTraceRecordDir makes the first grid cell of each reference stream
-// record the stream and persist it to dir (the -trace-record flag).
-// Empty disables recording.
-func SetTraceRecordDir(dir string) { harness.SetTraceRecordDir(dir) }
-
-// SetTraceReplayDir makes grid cells replay previously persisted traces
-// from dir instead of executing workloads (the -trace-replay flag).
-// Empty disables.
-func SetTraceReplayDir(dir string) { harness.SetTraceReplayDir(dir) }
+// SetTraceRecordDir does nothing. Grid cells no longer record their
+// reference streams to disk; every cell executes or reuses an identical
+// cell's rows. It remains only because the perfbench module calls it, and
+// goes with perfbench's next change.
+func SetTraceRecordDir(string) {}
 
 // Table1 regenerates the paper's Table 1 at the given geometry.
 func Table1(par CGParams, progress harness.Progress) (*Grid, error) {

@@ -1,6 +1,6 @@
 // Package bitutil provides small bit-manipulation helpers used throughout
-// the simulator: power-of-two arithmetic, alignment, and bit-field
-// extraction. The Impulse controller restricts remapped object sizes to
+// the simulator: power-of-two arithmetic, alignment, bit-field
+// extraction, and the varint decoder the columnar result formats share. The Impulse controller restricts remapped object sizes to
 // powers of two precisely so that hardware can use these operations instead
 // of division (paper §2.3); the simulator follows the same discipline.
 package bitutil

@@ -17,7 +17,7 @@ import (
 	"hash/crc32"
 	"math"
 
-	"impulse/internal/tracefile"
+	"impulse/internal/bitutil"
 )
 
 // ContentType is the MIME type of an encoded blob.
@@ -57,7 +57,8 @@ type Doc struct {
 }
 
 // Binary layout (version 01). All integers little-endian; "uvarint" is
-// the tracefile varint. Offsets are relative to the blob start.
+// the unsigned LEB128 varint of encoding/binary (decoded by
+// bitutil.Uvarint). Offsets are relative to the blob start.
 //
 //	magic      "IMPCOL01" (8 bytes)
 //	columns    one fixed-width payload per column id, appended in id
@@ -212,7 +213,7 @@ type decoder struct {
 }
 
 func (d *decoder) u() (uint64, error) {
-	v, n := tracefile.Uvarint(d.b[:d.end], d.pos)
+	v, n := bitutil.Uvarint(d.b[:d.end], d.pos)
 	if n <= 0 {
 		return 0, fmt.Errorf("colres: truncated or oversized varint at offset %d", d.pos)
 	}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"impulse/internal/tracefile"
+	"impulse/internal/bitutil"
 )
 
 // Row is one grid cell's metrics as they stream over SSE while a job is
@@ -50,7 +50,7 @@ func DecodeRow(b []byte) (Row, error) {
 	var r Row
 	pos := 0
 	u := func() (uint64, error) {
-		v, n := tracefile.Uvarint(b, pos)
+		v, n := bitutil.Uvarint(b, pos)
 		if n <= 0 {
 			return 0, fmt.Errorf("colres: truncated row chunk at offset %d", pos)
 		}

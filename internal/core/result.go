@@ -54,9 +54,6 @@ func (s *System) observeRow(r Row) {
 
 // Result summarizes the system's full run so far.
 func (s *System) Result(label string) (Row, error) {
-	if s.rec != nil {
-		s.rec.RecResult(label)
-	}
 	st := s.Snapshot()
 	if err := st.CheckLoadClassification(); err != nil {
 		return Row{}, err
@@ -86,17 +83,11 @@ type Section struct {
 
 // BeginSection starts a timed section.
 func (s *System) BeginSection() Section {
-	if s.rec != nil {
-		s.rec.RecSectionBegin()
-	}
 	return Section{s: s, st: s.Snapshot(), t0: s.Now()}
 }
 
 // End closes the section and reports its metrics.
 func (sec Section) End(label string) (Row, error) {
-	if sec.s.rec != nil {
-		sec.s.rec.RecSectionEnd(label)
-	}
 	cur := sec.s.Snapshot()
 	d := stats.Delta(&sec.st, &cur)
 	if err := d.CheckLoadClassification(); err != nil {

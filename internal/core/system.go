@@ -111,27 +111,9 @@ type System struct {
 	costs  Costs
 	rowObs func(Row)
 
-	// rec receives run-level events (syscall accounting, section
-	// boundaries) during trace recording; nil otherwise.
-	rec RunRecorder
-
 	// Pseudo-virtual space bump allocator for descriptor targets.
 	pvNext uint64
 }
-
-// RunRecorder observes the run-level events a trace must carry beyond
-// the raw machine-command stream: syscall statistics (their cycle cost
-// flows through recorded Ticks, but the Syscalls/SyscallCycles counters
-// must still match on replay) and measurement-section boundaries.
-type RunRecorder interface {
-	RecSyscallStats(calls, cycles uint64)
-	RecSectionBegin()
-	RecSectionEnd(label string)
-	RecResult(label string)
-}
-
-// SetRunRecorder attaches (or detaches, with nil) a run recorder.
-func (s *System) SetRunRecorder(r RunRecorder) { s.rec = r }
 
 // NewSystem builds a system.
 func NewSystem(opts Options) (*System, error) {
@@ -188,9 +170,6 @@ func (s *System) chargeSyscall(extra uint64) {
 	s.St.Syscalls++
 	c := s.costs.Syscall + extra
 	s.St.SyscallCycles += c
-	if s.rec != nil {
-		s.rec.RecSyscallStats(1, c)
-	}
 	s.Tick(c)
 }
 
@@ -215,9 +194,6 @@ func (s *System) downloadMappings(target addr.VAddr, bytes uint64) (addr.PVAddr,
 	s.MC.MapPVRange(pv, frames)
 	s.Tick(uint64(len(frames)) * s.costs.PerPageMapping)
 	s.St.SyscallCycles += uint64(len(frames)) * s.costs.PerPageMapping
-	if s.rec != nil {
-		s.rec.RecSyscallStats(0, uint64(len(frames))*s.costs.PerPageMapping)
-	}
 	return pv, nil
 }
 

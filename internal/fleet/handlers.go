@@ -27,7 +27,7 @@ import (
 //	GET  /fleet/shards   per-shard health, queue geometry, routing counters
 //	GET  /healthz        router liveness + healthy-shard count
 //	GET  /readyz         ready iff at least one shard is
-//	GET  /metrics        fleet metrics (?format=plain for "name value")
+//	GET  /metrics        fleet metrics (Prometheus text exposition)
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)

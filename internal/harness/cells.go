@@ -1,80 +1,39 @@
 // Grid cells. Every table and sweep cell is one pool task that builds its
-// own machine and executes its workload. Two mechanisms sit around that:
-//
-//   - A bounded, single-flight memo of finished cell rows, keyed by the
-//     cell's full identity: its reference-stream key plus the controller,
-//     prefetch policy, costs and the whole machine configuration. A later
-//     run that reaches an identical cell — a daemon serving one geometry
-//     in several formats, a sweep family repeating another family's cell
-//     — re-emits the stored rows instead of simulating again. Simulation
-//     is deterministic, so a reused row is the row execution would have
-//     produced.
-//   - The cross-process trace workflow (-trace-record / -trace-replay).
-//     Under -trace-record the first cell of each reference stream to start
-//     executes under a tracefile v2 recorder and persists the stream; the
-//     stream's other cells execute beside it. Under -trace-replay a cell
-//     whose stream is on disk replays it on its own machine, cycle- and
-//     counter-identical to execution (the differential tests in
-//     internal/tracefile pin this), including Impulse shadow runs, whose
-//     indirection vectors travel inside the trace as a memory image.
+// own machine and executes its workload. A bounded, single-flight memo of
+// finished cell rows sits around that, keyed by the cell's full identity:
+// its reference-stream key plus the controller, prefetch policy, costs
+// and the whole machine configuration. A later run that reaches an
+// identical cell — a daemon serving one geometry in several formats, a
+// sweep family repeating another family's cell — re-emits the stored rows
+// instead of simulating again. Simulation is deterministic, so a reused
+// row is the row execution would have produced.
 package harness
 
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
 	"impulse/internal/core"
-	"impulse/internal/obs"
 	"impulse/internal/sim"
-	"impulse/internal/tracefile"
 	"impulse/internal/workloads"
 )
 
-var (
-	traceRecordDir string
-	traceReplayDir string
+var memo cellMemo
 
-	// recording holds the stream keys whose recording a cell has claimed
-	// in this process (-trace-record): one recording per stream.
-	recording sync.Map
-
-	memo cellMemo
-)
-
-// SetTraceRecordDir makes the first cell of each reference stream record
-// the stream and persist it to dir as <key>.imptrc (the -trace-record
-// flag). Empty disables recording.
-func SetTraceRecordDir(dir string) { traceRecordDir = dir }
-
-// SetTraceReplayDir makes every cell try dir for a previously persisted
-// trace of its stream before executing the workload (the -trace-replay
-// flag). Empty disables. A missing or invalid file silently falls back
-// to execution.
-func SetTraceReplayDir(dir string) { traceReplayDir = dir }
-
-// ResetTraceCache empties the cell memo and forgets which streams this
-// process has recorded, so the next run computes every cell afresh.
-// Benchmarks and tests call it to time or observe a cold run; not safe
-// while a Run is in flight.
-func ResetTraceCache() {
-	memo.reset()
-	recording.Range(func(k, _ any) bool {
-		recording.Delete(k)
-		return true
-	})
-}
+// ResetTraceCache empties the cell memo, so the next run computes every
+// cell afresh. Benchmarks and tests call it to time or observe a cold
+// run; not safe while a Run is in flight. (The name predates the memo;
+// perfbench calls it by this name.)
+func ResetTraceCache() { memo.reset() }
 
 // cellSpec describes one grid cell to runCell: the identity of its
 // reference stream (key), the configuration to simulate it under
-// (opts), how to rewrite row labels recorded by another cell of the
-// stream for this cell (relabel, nil = keep), and the workload (exec
-// returns the cell's measured row).
+// (opts), how to rewrite row labels stored by an identical cell for this
+// cell (relabel, nil = keep), and the workload (exec returns the cell's
+// measured row).
 type cellSpec struct {
 	key     string
 	opts    core.Options
@@ -210,18 +169,18 @@ func memoCell(tc *TaskCtx, spec cellSpec) (core.Row, string, error) {
 // the next identical cell retries — and a success is kept.
 func computeCell(tc *TaskCtx, spec cellSpec, id cellID, ent *memoEntry) (core.Row, string, error) {
 	mark := len(tc.rows)
-	row, mode, err := runUncached(tc, spec)
+	row, err := runUncached(tc, spec)
 	if err != nil {
 		ent.err = err
 		memo.entries.CompareAndDelete(id, ent)
 		close(ent.done)
-		return core.Row{}, mode, err
+		return core.Row{}, "execute", err
 	}
 	ent.rows = append([]core.Row(nil), tc.rows[mark:]...)
 	ent.row = row
 	close(ent.done)
 	memo.keep(id, ent)
-	return row, mode, nil
+	return row, "execute", nil
 }
 
 func relabelRow(r core.Row, relabel func(string) string) core.Row {
@@ -231,72 +190,21 @@ func relabelRow(r core.Row, relabel func(string) string) core.Row {
 	return r
 }
 
-// runUncached computes a cell: replay its persisted stream if
-// -trace-replay has one, record the stream if this is the first cell of
-// it under -trace-record, and otherwise execute.
-func runUncached(tc *TaskCtx, spec cellSpec) (core.Row, string, error) {
-	if data := loadPersistedTrace(spec.key); data != nil {
-		row, err := replayCell(tc, spec, data)
-		return row, "replay", err
-	}
+// runUncached computes a cell by executing its workload on a fresh
+// machine.
+func runUncached(tc *TaskCtx, spec cellSpec) (core.Row, error) {
 	s, err := tc.NewSystem(spec.opts)
 	if err != nil {
-		return core.Row{}, "execute", err
+		return core.Row{}, err
 	}
 	defer s.ReleaseBuffers()
-	if traceRecordDir != "" {
-		if _, taken := recording.LoadOrStore(spec.key, struct{}{}); !taken {
-			row, err := recordCell(tc.Ctx, s, spec)
-			if err != nil {
-				// Leave the stream for a later cell or run to record.
-				recording.Delete(spec.key)
-			}
-			return row, "record", err
-		}
-	}
-	row, err := spec.exec(s)
-	return row, "execute", err
-}
-
-// recordCell executes the cell on s under a trace recorder and persists
-// the recorded stream.
-func recordCell(ctx context.Context, s *core.System, spec cellSpec) (core.Row, error) {
-	rec := tracefile.RecordRun(s)
-	row, err := spec.exec(s)
-	if err != nil {
-		return core.Row{}, err
-	}
-	data, err := rec.Bytes()
-	if err != nil {
-		return core.Row{}, err
-	}
-	persistTrace(ctx, spec.key, data)
-	return row, nil
-}
-
-// replayCell replays a persisted stream on a fresh machine under the
-// cell's configuration; the cell's row is the stream's last measured row.
-func replayCell(tc *TaskCtx, spec cellSpec, data []byte) (core.Row, error) {
-	s, err := tc.NewSystem(spec.opts)
-	if err != nil {
-		return core.Row{}, err
-	}
-	rows, err := tracefile.ReplayV2(s, data, tracefile.ReplayOpts{MapLabel: spec.relabel})
-	s.ReleaseBuffers()
-	if err != nil {
-		return core.Row{}, fmt.Errorf("harness: trace replay (%s): %w", spec.key, err)
-	}
-	if len(rows) == 0 {
-		return core.Row{}, fmt.Errorf("harness: trace replay (%s): no measured rows", spec.key)
-	}
-	return rows[len(rows)-1], nil
+	return spec.exec(s)
 }
 
 // streamSig captures the configuration knobs that change the *reference
 // stream* a workload issues (as opposed to its timing): the L1 size
 // feeds scatter/gather target placement, and the page-color count feeds
-// recoloring and the frame allocator. Cells that differ here must not
-// share a trace.
+// recoloring and the frame allocator. It is part of every stream key.
 func streamSig(cfg *sim.Config) string {
 	c := sim.DefaultConfig()
 	if cfg != nil {
@@ -305,70 +213,10 @@ func streamSig(cfg *sim.Config) string {
 	return fmt.Sprintf("l1=%d,colors=%d", c.L1.Bytes, c.Kernel.PageColors)
 }
 
-// tracePath maps a stream key to a file name under dir: the key,
-// sanitized, plus a hash to keep sanitized collisions apart.
-func tracePath(dir, key string) string {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	san := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_', r == '=', r == ',':
-			return r
-		default:
-			return '_'
-		}
-	}, key)
-	return filepath.Join(dir, fmt.Sprintf("%s-%08x.imptrc", san, h.Sum32()))
-}
-
-func loadPersistedTrace(key string) []byte {
-	if traceReplayDir == "" {
-		return nil
-	}
-	data, err := os.ReadFile(tracePath(traceReplayDir, key))
-	if err != nil || tracefile.Validate(data) != nil {
-		return nil
-	}
-	return data
-}
-
-// persistTrace writes via temp-file-plus-rename so a persisted trace is
-// either complete or absent: several processes may record into one
-// directory, and a process replaying concurrently with another's
-// recording (or a process killed mid-write) must never see a torn
-// .imptrc — loadPersistedTrace would reject it and fall back, but a
-// same-name partial would shadow the good file a slower writer was
-// producing.
-func persistTrace(ctx context.Context, key string, data []byte) {
-	if err := os.MkdirAll(traceRecordDir, 0o755); err != nil {
-		obs.WarnOnceCtx(ctx, "trace-record-dir:"+traceRecordDir, "trace-record: record dir: %v", err)
-		return
-	}
-	dst := tracePath(traceRecordDir, key)
-	tmp, err := os.CreateTemp(traceRecordDir, filepath.Base(dst)+".tmp-*")
-	if err != nil {
-		obs.WarnOnceCtx(ctx, "trace-persist:"+traceRecordDir, "trace-record: persist %s: %v", key, err)
-		return
-	}
-	if _, err = tmp.Write(data); err == nil {
-		err = tmp.Close()
-	} else {
-		tmp.Close()
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), dst)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		obs.WarnOnceCtx(ctx, "trace-persist:"+traceRecordDir, "trace-record: persist %s: %v", key, err)
-	}
-}
-
 // relabelPf rewrites the "<...>/<prefetch>" suffix the CG/MMP/Cholesky
-// section labels carry to this cell's prefetch policy, so a row recorded
-// by another column of the stream renders (and registers counters)
-// exactly as if this cell had executed.
+// section labels carry to this cell's prefetch policy, so a row stored
+// by an identical cell renders (and registers counters) exactly as if
+// this cell had executed.
 func relabelPf(pf core.PrefetchPolicy) func(string) string {
 	suffix := pf.String()
 	return func(label string) string {
@@ -379,8 +227,8 @@ func relabelPf(pf core.PrefetchPolicy) func(string) string {
 	}
 }
 
-// constLabel relabels every recorded row to a fixed label (families
-// whose cells label rows by the knob being swept).
+// constLabel relabels every stored row to a fixed label (families whose
+// cells label rows by the knob being swept).
 func constLabel(l string) func(string) string {
 	return func(string) string { return l }
 }

@@ -14,15 +14,11 @@ import (
 	"impulse/internal/workloads"
 )
 
-// withColdMemo runs f from an empty cell memo with no trace directories,
-// and leaves both that way for the next test.
+// withColdMemo runs f from an empty cell memo and leaves the memo empty
+// for the next test.
 func withColdMemo(t *testing.T, f func()) {
 	t.Helper()
-	t.Cleanup(func() {
-		SetTraceRecordDir("")
-		SetTraceReplayDir("")
-		ResetTraceCache()
-	})
+	t.Cleanup(ResetTraceCache)
 	ResetTraceCache()
 	f()
 }
@@ -318,44 +314,52 @@ func TestCellMemoCap(t *testing.T) {
 	})
 }
 
-// TestTraceCacheDiskRoundTrip records small Table 1 and Table 2 grids to
-// disk — one recording per reference stream, beside the stream's
-// executing cells — then replays them from that directory in a fresh
-// memo, so no cell executes its workload. Both the recording run and the
-// replay must be byte-identical to plain execution, Impulse shadow cells
+// TestTraceCacheDiskRoundTrip first recorded grids to disk and replayed
+// them in a fresh memo. Nothing is recorded any more, so it pins the
+// round trip that remains: a grid run keeps nothing outside the process.
+// With the working directory and TMPDIR pointed at an empty directory, a
+// cold run and a repeat that reuses every cell create no file there, and
+// after ResetTraceCache a fresh run executes every cell again and
+// reproduces the cold run byte for byte, Impulse shadow cells
 // (scatter/gather, tile remapping) included.
 func TestTraceCacheDiskRoundTrip(t *testing.T) {
-	for name, run := range map[string]func(context.Context) (*Grid, error){"table1": table1Run, "table2": table2Run} {
-		t.Run(name, func(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		run  func(context.Context) (*Grid, error)
+	}{{"table1", table1Run}, {"table2", table2Run}} {
+		t.Run(g.name, func(t *testing.T) {
+			dir := t.TempDir()
+			wd, err := os.Getwd()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chdir(dir); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.Chdir(wd) })
+			t.Setenv("TMPDIR", dir)
 			withColdMemo(t, func() {
-				executed := captureRun(t, run)
-
-				dir := t.TempDir()
+				cold := captureRun(t, g.run)
+				wantModes(t, "cold run", cold.modes, map[string]int{"execute": 12})
+				repeat := captureRun(t, g.run)
+				wantModes(t, "repeat run", repeat.modes, map[string]int{"reused": 12})
 				ResetTraceCache()
-				SetTraceRecordDir(dir)
-				recorded := captureRun(t, run)
-				SetTraceRecordDir("")
-				wantModes(t, "recording run", recorded.modes, map[string]int{"record": 3, "execute": 9})
-				ents, err := os.ReadDir(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ents) != 3 {
-					t.Fatalf("persisted %d traces, want 3 (one per stream)", len(ents))
-				}
-
-				ResetTraceCache()
-				SetTraceReplayDir(dir)
-				replayed := captureRun(t, run)
-				wantModes(t, "replay run", replayed.modes, map[string]int{"replay": 12})
-
-				for what, got := range map[string]string{"recording": recorded.out, "replay": replayed.out} {
-					if got != executed.out {
-						t.Errorf("%s run differs from execution\n--- execute ---\n%s--- %s ---\n%s",
-							what, executed.out, what, got)
+				fresh := captureRun(t, g.run)
+				wantModes(t, "run after reset", fresh.modes, map[string]int{"execute": 12})
+				for what, got := range map[string]string{"repeat": repeat.out, "after reset": fresh.out} {
+					if got != cold.out {
+						t.Errorf("%s run differs from the cold run\n--- cold ---\n%s--- %s ---\n%s",
+							what, cold.out, what, got)
 					}
 				}
 			})
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				t.Errorf("grid run left %s on disk", e.Name())
+			}
 		})
 	}
 }

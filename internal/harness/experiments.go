@@ -119,7 +119,7 @@ func Families() []Family {
 			func(ctx context.Context, fast bool, w io.Writer) error {
 				return PagePolicyAblation(ctx, sweepCG(fast), w)
 			}},
-		{"geometry", "L2-capacity sensitivity (trace-driven)",
+		{"geometry", "L2-capacity sensitivity",
 			Eligibility{Twin: noClosedForm},
 			func(ctx context.Context, fast bool, w io.Writer) error {
 				sizes := []uint64{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}

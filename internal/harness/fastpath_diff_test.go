@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -9,13 +8,13 @@ import (
 	"impulse/internal/core"
 	"impulse/internal/obs"
 	"impulse/internal/sim"
-	"impulse/internal/tracefile"
 	"impulse/internal/workloads"
 )
 
 // The fast-path access engine (internal/sim/fastpath.go) must be
 // invisible in everything an experiment can observe: rendered grids,
-// JSON output, every counter, and the recorded trace v2 byte stream.
+// JSON output, every counter, every trace event and every value a
+// workload computes.
 // These tests run the same experiments with the engine on and off and
 // require byte identity. They are the acceptance gate for the engine's
 // cycle-exactness contract.
@@ -95,20 +94,26 @@ func TestFastPathTable2Identity(t *testing.T) {
 	diffFastPath(t, capture)
 }
 
-// TestFastPathTraceBytesIdentity records the trace v2 stream of one run
-// per workload mode with the fast path on and off and requires the raw
-// bytes to match. This is the strongest form of the contract: every
-// recorded machine command, tick count, and PV image must agree, not
-// just the end-of-run counters. The recorded bytes hold virtual
-// addresses only, so the full sim.TraceEvent stream is compared too:
-// cycle, level, latency, bus address and Shadow flag of every load,
-// store and flush. The tile-remap and recolor runs commit Strided and
-// Direct shadow lines on the fast path.
+// outcome is what one workload run returns to its caller: CG's Zeta and
+// residual norm, or MMP's checksum, beside the measured row.
+type outcome struct {
+	values [2]float64
+	row    core.Row
+}
+
+// TestFastPathTraceBytesIdentity runs one workload per mode with the fast
+// path on and off and compares the full sim.TraceEvent stream — cycle,
+// level, latency, bus address and Shadow flag of every load, store and
+// flush — and the run's returned result. Trace events carry addresses,
+// not data, so the result is what catches a fast access that moves a
+// wrong value: CG's Zeta and residual norm and MMP's checksum are
+// computed from values loaded through the simulator. The tile-remap and
+// recolor runs commit Strided and Direct shadow lines on the fast path.
 func TestFastPathTraceBytesIdentity(t *testing.T) {
 	par := smallCG()
 	m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
-	record := func(disable bool, kind core.ControllerKind, pf core.PrefetchPolicy,
-		exec func(s *core.System) error) ([]byte, []sim.TraceEvent) {
+	run := func(disable bool, kind core.ControllerKind, pf core.PrefetchPolicy,
+		exec func(s *core.System) (outcome, error)) (outcome, []sim.TraceEvent) {
 		t.Helper()
 		cfg := sim.DefaultConfig()
 		cfg.DisableFastPath = disable
@@ -116,48 +121,41 @@ func TestFastPathTraceBytesIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := tracefile.RecordRun(s)
+		defer s.ReleaseBuffers()
 		var events []sim.TraceEvent
 		s.SetTracer(func(e sim.TraceEvent) { events = append(events, e) })
-		if err := exec(s); err != nil {
-			t.Fatal(err)
-		}
-		data, err := rec.Bytes()
-		s.ReleaseBuffers()
+		out, err := exec(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data, events
+		return out, events
+	}
+	cg := func(mode workloads.CGMode) func(s *core.System) (outcome, error) {
+		return func(s *core.System) (outcome, error) {
+			res, err := workloads.RunCG(s, par, mode, m)
+			return outcome{[2]float64{res.Zeta, res.RNorm}, res.Row}, err
+		}
 	}
 	cases := []struct {
 		name string
 		kind core.ControllerKind
 		pf   core.PrefetchPolicy
-		exec func(s *core.System) error
+		exec func(s *core.System) (outcome, error)
 	}{
-		{"cg-conventional", core.Conventional, core.PrefetchNone, func(s *core.System) error {
-			_, err := workloads.RunCG(s, par, workloads.CGConventional, m)
-			return err
-		}},
-		{"cg-scatter-gather", core.Impulse, core.PrefetchMC, func(s *core.System) error {
-			_, err := workloads.RunCG(s, par, workloads.CGScatterGather, m)
-			return err
-		}},
-		{"cg-recolor", core.Impulse, core.PrefetchL1, func(s *core.System) error {
-			_, err := workloads.RunCG(s, par, workloads.CGRecolor, m)
-			return err
-		}},
-		{"mmp-tile-remap", core.Impulse, core.PrefetchBoth, func(s *core.System) error {
-			_, err := workloads.RunMMP(s, workloads.MMPParams{N: 48, Tile: 16}, workloads.MMPTileRemap)
-			return err
+		{"cg-conventional", core.Conventional, core.PrefetchNone, cg(workloads.CGConventional)},
+		{"cg-scatter-gather", core.Impulse, core.PrefetchMC, cg(workloads.CGScatterGather)},
+		{"cg-recolor", core.Impulse, core.PrefetchL1, cg(workloads.CGRecolor)},
+		{"mmp-tile-remap", core.Impulse, core.PrefetchBoth, func(s *core.System) (outcome, error) {
+			res, err := workloads.RunMMP(s, workloads.MMPParams{N: 48, Tile: 16}, workloads.MMPTileRemap)
+			return outcome{[2]float64{res.Checksum}, res.Row}, err
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			on, onEvents := record(false, tc.kind, tc.pf, tc.exec)
-			off, offEvents := record(true, tc.kind, tc.pf, tc.exec)
-			if !bytes.Equal(on, off) {
-				t.Errorf("recorded trace bytes differ with fast path on (%d vs %d bytes)", len(on), len(off))
+			on, onEvents := run(false, tc.kind, tc.pf, tc.exec)
+			off, offEvents := run(true, tc.kind, tc.pf, tc.exec)
+			if on != off {
+				t.Errorf("returned result differs:\nfast on  %+v\nfast off %+v", on, off)
 			}
 			for i := range offEvents {
 				if i >= len(onEvents) || onEvents[i] != offEvents[i] {

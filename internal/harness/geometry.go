@@ -11,14 +11,13 @@ import (
 	"impulse/internal/workloads"
 )
 
-// CacheGeometrySweep is a classic trace-driven sensitivity study: the
-// conventional CG reference stream runs across L2 capacities, reporting
+// CacheGeometrySweep is a classic cache sensitivity study: the
+// conventional CG workload runs across L2 capacities, reporting
 // how the paper's conventional-system hit-ratio profile depends on cache
 // geometry. It locates the paper's operating point (multiplicand bigger
 // than L1, smaller than L2) on the capacity curve. L2 capacity is pure
-// timing, so every size shares one stream key: under -trace-record /
-// -trace-replay the stream is recorded once and replayed at each size,
-// with the exact cycle counts execution produces.
+// timing, so every size shares one stream key and executes as its own
+// cell.
 func CacheGeometrySweep(ctx context.Context, par workloads.CGParams, l2Sizes []uint64, w io.Writer) error {
 	m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 	wantZeta, wantRNorm := workloads.RefCG(m, par)
@@ -59,7 +58,7 @@ func CacheGeometrySweep(ctx context.Context, par workloads.CGParams, l2Sizes []u
 		avg[i] = row.AvgLoad
 	}
 	t := stats.NewTable(
-		fmt.Sprintf("L2-capacity sensitivity (trace-driven replay of conventional CG, n=%d)", par.N),
+		fmt.Sprintf("L2-capacity sensitivity (conventional CG, n=%d)", par.N),
 		cols...)
 	t.AddPercentRow("L1 hit ratio", l1r...)
 	t.AddPercentRow("L2 hit ratio", l2r...)

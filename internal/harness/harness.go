@@ -98,7 +98,7 @@ func Table1(ctx context.Context, par workloads.CGParams, progress Progress) (*Gr
 		par.N, m.NNZ(), par.Niter*par.CGIts)}
 	nc := len(prefetchColumns)
 	// The four prefetch columns of a section share one reference stream
-	// (the stream key): under -trace-record, one of them records it.
+	// (the stream key) and differ in their cell identity.
 	rows, err := runCells(ctx, len(sections)*nc, func(idx int) cellSpec {
 		sec, ci := sections[idx/nc], idx%nc
 		pf := prefetchColumns[ci]

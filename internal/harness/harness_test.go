@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"impulse/internal/workloads"
@@ -13,13 +14,14 @@ func smallCG() workloads.CGParams {
 }
 
 func TestTable1SmallGrid(t *testing.T) {
-	var calls int
-	g, err := Table1(context.Background(), smallCG(), func(section, column string) { calls++ })
+	// Pool workers call progress concurrently (see Progress).
+	var calls atomic.Int64
+	g, err := Table1(context.Background(), smallCG(), func(section, column string) { calls.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 12 {
-		t.Errorf("progress called %d times, want 12", calls)
+	if n := calls.Load(); n != 12 {
+		t.Errorf("progress called %d times, want 12", n)
 	}
 	if len(g.Sections) != 3 || len(g.Cells) != 3 || len(g.Cells[0]) != 4 {
 		t.Fatalf("grid shape: %d sections, %dx%d cells", len(g.Sections), len(g.Cells), len(g.Cells[0]))

@@ -73,17 +73,14 @@ func rowSink(ctx context.Context) func(core.Row) {
 type CellEvent struct {
 	// Key is the cell's reference-stream identity (cellSpec.key).
 	Key string
-	// Mode is how the cell ran: "execute" (ran the workload), "record"
-	// (ran it under the trace recorder as its stream's first cell,
-	// -trace-record), "replay" (replayed its stream from disk,
-	// -trace-replay), or "reused" (re-emitted an identical cell's rows
-	// from the cell memo).
+	// Mode is how the cell ran: "execute" (ran the workload) or "reused"
+	// (re-emitted an identical cell's rows from the cell memo).
 	Mode string
 	// Start and End bound the cell's host wall-clock run.
 	Start, End time.Time
 	// Batch, BatchIndex and Decode are never set: every cell is its own
-	// pool task and replay decodes as it applies. They remain so readers
-	// of earlier cell events still compile.
+	// pool task and no cell decodes a trace. They remain so readers of
+	// earlier cell events (perfbench) still compile.
 	Batch      string
 	BatchIndex int
 	Decode     time.Duration

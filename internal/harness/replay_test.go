@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -14,52 +15,42 @@ import (
 )
 
 // The TestVectorReplay* tests first covered a batched engine that
-// replayed one recorded stream on every cell of the stream at once. That
-// engine is gone: every cell is its own pool task, and -trace-replay
-// replays a persisted stream one cell at a time with tracefile.ReplayV2.
-// The tests keep their names and pin the same contracts on the trace
-// workflow that remains — recorded and replayed grids are byte-identical
-// to execution, the cells of one stream fail and cancel like any other
-// pool tasks, and every cell reports one event naming how it ran.
+// replayed one recorded stream on every cell of the stream at once, and
+// then the cross-process trace workflow. Both are gone: every cell is its
+// own pool task that executes its workload or reuses an identical cell's
+// rows. The tests keep their names and pin the contracts that remain —
+// rows reused from the cell memo are byte-identical to execution, the
+// cells of one stream fail and cancel like any other pool tasks, and
+// every cell reports one event naming how it ran.
 
-// diffTraceReplay captures an experiment three times from an empty cell
-// memo — executed, recorded to disk (-trace-record) and replayed from
-// that directory (-trace-replay) — and requires identical output, with
-// one recording per reference stream and every cell of the replay run
-// replayed. With fastOff the recording and the replay run with the fast
-// path off, so every replayed access takes the reference access path,
-// and are still compared with a fast-path execution.
-func diffTraceReplay(t *testing.T, fastOff bool, capture func(ctx context.Context) string) {
+// diffMemoReplay captures an experiment three times — executed from an
+// empty cell memo, executed again from an empty memo, and repeated in the
+// same process so that every cell is reused from the second run's rows —
+// and requires identical output. With fastOff the second run executes
+// with the fast path off, so the reused rows come from cells that took
+// the reference access path, and the repeat, with the fast path on, must
+// still reuse them: the memo's identity ignores the fast path.
+func diffMemoReplay(t *testing.T, fastOff bool, capture func(ctx context.Context) string) {
 	t.Helper()
-	dir := t.TempDir()
-	var exec, rec, rep string
-	var execModes, recModes, repModes map[string]map[string]int
+	var exec, stored, reused string
+	var execModes, storedModes, reusedModes map[string]map[string]int
 	withColdMemo(t, func() {
 		exec, execModes = traceRun(capture)
-		withFastPath(t, !fastOff, func() {
-			ResetTraceCache()
-			SetTraceRecordDir(dir)
-			rec, recModes = traceRun(capture)
-			SetTraceRecordDir("")
-			ResetTraceCache()
-			SetTraceReplayDir(dir)
-			rep, repModes = traceRun(capture)
-		})
+		ResetTraceCache()
+		withFastPath(t, !fastOff, func() { stored, storedModes = traceRun(capture) })
+		withFastPath(t, true, func() { reused, reusedModes = traceRun(capture) })
 	})
 	// A cell identical to an earlier cell of the same run is reused in
-	// every mode; every other cell must run in the mode under test.
+	// the cold runs too; in the repeat no cell may execute.
 	for key, modes := range execModes {
-		if modes["record"]+modes["replay"] != 0 {
-			t.Errorf("execution run: stream %s ran as %v", key, modes)
+		if fmt.Sprint(storedModes[key]) != fmt.Sprint(modes) {
+			t.Errorf("stream %s: cold runs ran as %v and %v", key, modes, storedModes[key])
 		}
-		if recModes[key]["record"] != 1 {
-			t.Errorf("recording run: stream %s ran as %v, want one record", key, recModes[key])
-		}
-		if rm := repModes[key]; rm["replay"] == 0 || rm["execute"]+rm["record"] != 0 {
-			t.Errorf("replay run: stream %s ran as %v, want every cell replayed", key, rm)
+		if rm := reusedModes[key]; rm["execute"] != 0 || rm["reused"] != modes["execute"]+modes["reused"] {
+			t.Errorf("repeat run: stream %s ran as %v, want every cell reused", key, rm)
 		}
 	}
-	for what, got := range map[string]string{"recording": rec, "replay": rep} {
+	for what, got := range map[string]string{"second cold": stored, "reused": reused} {
 		if got != exec {
 			t.Errorf("%s run differs from execution\n--- execute ---\n%s--- %s ---\n%s", what, exec, what, got)
 		}
@@ -83,36 +74,37 @@ func traceRun(capture func(ctx context.Context) string) (string, map[string]map[
 }
 
 // TestVectorReplayTable1Identity: the full Table 1 grid — render, JSON,
-// and all row counters — recorded and replayed with the fast path off is
-// byte-identical to executing it.
+// and all row counters — reused from rows that cells stored with the
+// fast path off is byte-identical to executing it.
 func TestVectorReplayTable1Identity(t *testing.T) {
-	diffTraceReplay(t, true, func(ctx context.Context) string {
+	diffMemoReplay(t, true, func(ctx context.Context) string {
 		return captureGrid(t, func() (*Grid, error) { return table1Run(ctx) })
 	})
 }
 
 // TestVectorReplayTable2Identity: same contract for the tiled
-// matrix-product grid, whose tile-remap cells replay Impulse shadow
+// matrix-product grid, whose tile-remap cells set up Impulse shadow
 // descriptors.
 func TestVectorReplayTable2Identity(t *testing.T) {
-	diffTraceReplay(t, true, func(ctx context.Context) string {
+	diffMemoReplay(t, true, func(ctx context.Context) string {
 		return captureGrid(t, func() (*Grid, error) { return table2Run(ctx) })
 	})
 }
 
 // TestVectorReplayFamiliesIdentity runs every sweep family's fast
-// geometry executed, recorded and replayed, and requires identical
+// geometry executed twice and then reused, and requires identical
 // rendered output and counters — covering every runCells call site
 // (scheduler, prefetch-buffer, gather-stride, spark, superscalar,
-// page-policy, cache-geometry) plus the families whose cells have no
-// reference stream and must be unaffected by the trace directories.
+// page-policy, cache-geometry) and each one's relabel function, plus the
+// families whose cells do not go through the memo and must be unaffected
+// by it.
 func TestVectorReplayFamiliesIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("family sweep differentials are slow; run without -short")
 	}
 	for _, f := range Families() {
 		t.Run(f.Name, func(t *testing.T) {
-			diffTraceReplay(t, false, func(ctx context.Context) string {
+			diffMemoReplay(t, false, func(ctx context.Context) string {
 				var reg obs.Registry
 				core.SetRowObserver(core.CollectRows(&reg))
 				defer core.SetRowObserver(nil)
@@ -157,57 +149,46 @@ func streamSpecs(par workloads.CGParams, m *workloads.SparseMatrix, fail func(i 
 // TestVectorReplayBatchErrorDeterminism: when several cells of one
 // stream fail, the surfaced error is the lowest-index failing cell's —
 // the pool's policy — even when a higher-index cell fails first in wall
-// time, and no partial rows leak out, whether or not the stream is being
-// recorded.
+// time, and no partial rows leak out.
 func TestVectorReplayBatchErrorDeterminism(t *testing.T) {
 	par := smallCG()
 	m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 	err1, err3 := errors.New("cell 1 failed"), errors.New("cell 3 failed")
-	for _, record := range []bool{false, true} {
-		withWorkers(4, func() {
-			withColdMemo(t, func() {
-				if record {
-					SetTraceRecordDir(t.TempDir())
+	withWorkers(4, func() {
+		withColdMemo(t, func() {
+			threeFailed := make(chan struct{})
+			rows, err := runCells(context.Background(), 4, streamSpecs(par, m, func(i int) error {
+				switch i {
+				case 3:
+					close(threeFailed)
+					return err3
+				case 1:
+					<-threeFailed
+					return err1
 				}
-				threeFailed := make(chan struct{})
-				rows, err := runCells(context.Background(), 4, streamSpecs(par, m, func(i int) error {
-					switch i {
-					case 3:
-						close(threeFailed)
-						return err3
-					case 1:
-						<-threeFailed
-						return err1
-					}
-					return nil
-				}))
-				if !errors.Is(err, err1) {
-					t.Errorf("record=%v: surfaced error %v, want cell 1's (lowest failing index)", record, err)
-				}
-				if rows != nil {
-					t.Errorf("record=%v: failed run leaked %d rows, want none", record, len(rows))
-				}
-			})
+				return nil
+			}))
+			if !errors.Is(err, err1) {
+				t.Errorf("surfaced error %v, want cell 1's (lowest failing index)", err)
+			}
+			if rows != nil {
+				t.Errorf("failed run leaked %d rows, want none", len(rows))
+			}
 		})
-	}
+	})
 }
 
 // TestVectorReplayCancelMidBatch cancels the context as soon as the
-// stream's recording cell finishes, while the stream's other cells may
-// still run beside it: cancellation must win, surface as
-// context.Canceled, and leak no rows.
+// stream's first cell finishes, while the stream's other cells may still
+// run beside it: cancellation must win, surface as context.Canceled, and
+// leak no rows.
 func TestVectorReplayCancelMidBatch(t *testing.T) {
 	par := smallCG()
 	m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 	withColdMemo(t, func() {
-		SetTraceRecordDir(t.TempDir())
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		ctx = WithCellObserver(ctx, func(ev CellEvent) {
-			if ev.Mode == "record" {
-				cancel()
-			}
-		})
+		ctx = WithCellObserver(ctx, func(CellEvent) { cancel() })
 		rows, err := runCells(ctx, 4, streamSpecs(par, m, nil))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled run returned %v, want context.Canceled", err)
@@ -218,12 +199,10 @@ func TestVectorReplayCancelMidBatch(t *testing.T) {
 	})
 }
 
-// TestVectorReplayCellEvents pins the observability contract of a traced
-// Table 1 run: one event per cell, carrying its stream key and a
-// wall-clock interval. Recording, each of the three streams has exactly
-// one "record" cell beside three "execute" cells; replaying, all twelve
-// cells "replay"; a repeat in the same process "reused" them all. The
-// batch fields stay empty.
+// TestVectorReplayCellEvents pins the observability contract of a Table 1
+// run: one event per cell, carrying its stream key and a wall-clock
+// interval. From a cold memo all twelve cells "execute"; a repeat in the
+// same process "reused" them all. The batch fields stay empty.
 func TestVectorReplayCellEvents(t *testing.T) {
 	events := func() []CellEvent {
 		var mu sync.Mutex
@@ -263,13 +242,7 @@ func TestVectorReplayCellEvents(t *testing.T) {
 		}
 	}
 	withColdMemo(t, func() {
-		dir := t.TempDir()
-		SetTraceRecordDir(dir)
-		check("recording run", events(), map[string]int{"record": 1, "execute": 3})
-		SetTraceRecordDir("")
-		ResetTraceCache()
-		SetTraceReplayDir(dir)
-		check("replay run", events(), map[string]int{"replay": 4})
+		check("cold run", events(), map[string]int{"execute": 4})
 		check("repeat run", events(), map[string]int{"reused": 4})
 	})
 }

@@ -462,8 +462,8 @@ func SuperscalarExperiment(ctx context.Context, par workloads.CGParams, widths [
 		cols[i] = fmt.Sprintf("width %d", width)
 	}
 	// Task order matches the serial loop: width-major, conventional first.
-	// Issue width only rescales Tick batches (replay divides by its own
-	// width), so every width of a mode shares that mode's stream.
+	// Issue width only rescales Tick batches, so every width of a mode
+	// shares that mode's stream key.
 	rows, err := runCells(ctx, 2*len(widths), func(idx int) cellSpec {
 		width, impulse := widths[idx/2], idx%2 == 1
 		cfg := sim.DefaultConfig()

@@ -51,10 +51,6 @@ type Kernel struct {
 	shTop     uint64
 	shRegions []shadowRegion
 
-	// mapObs observes page-table mutations (nil = not recording); trace
-	// recording uses it to capture OS remap setup.
-	mapObs MapObserver
-
 	// Last-translation cache in front of the page-table map. Workload
 	// access streams revisit the same page for long runs, so this single
 	// entry absorbs most Translate calls (the processor TLB sits above
@@ -285,37 +281,6 @@ func (k *Kernel) AllocVirtual(bytes, align uint64) (addr.VAddr, error) {
 	return addr.VAddr(base), nil
 }
 
-// MapObserver observes page-table mutations and process switches, for
-// trace recording. Callbacks fire after the mutation succeeds, with the
-// concrete page number installed (so a replay reproduces the mappings
-// the frame allocator happened to pick, without re-running it).
-type MapObserver interface {
-	OnMap(vpage, pn uint64)
-	OnUnmap(vpage uint64)
-	OnSwitch(pid int)
-}
-
-// SetMapObserver attaches (or detaches, with nil) a page-table observer.
-func (k *Kernel) SetMapObserver(o MapObserver) { k.mapObs = o }
-
-// InstallMapping installs vpage -> pn (frame or shadow page number) in
-// the current process's page table, bypassing ownership, range, and
-// already-mapped checks. It exists for trace replay, which reissues
-// mappings that already passed those checks when they were recorded;
-// everything else should use MapPage/RemapPage/MapShadowPage. It does
-// not notify the MapObserver.
-func (k *Kernel) InstallMapping(vpage, pn uint64) {
-	k.invalidateLT()
-	k.p().pt[vpage] = pn
-}
-
-// noteMap notifies the observer of a successful page-table install.
-func (k *Kernel) noteMap(vpage, pn uint64) {
-	if k.mapObs != nil {
-		k.mapObs.OnMap(vpage, pn)
-	}
-}
-
 // MapPage installs vpage -> frame in the current process's page table.
 // The frame must belong to the calling process.
 func (k *Kernel) MapPage(vpage, frame uint64) error {
@@ -331,7 +296,6 @@ func (k *Kernel) MapPage(vpage, frame uint64) error {
 	}
 	k.invalidateLT()
 	k.p().pt[vpage] = frame
-	k.noteMap(vpage, frame)
 	return nil
 }
 
@@ -343,7 +307,6 @@ func (k *Kernel) RemapPage(vpage, frame uint64) error {
 	}
 	k.invalidateLT()
 	k.p().pt[vpage] = frame
-	k.noteMap(vpage, frame)
 	return nil
 }
 
@@ -359,7 +322,6 @@ func (k *Kernel) MapShadowPage(vpage uint64, shadow addr.PAddr) error {
 	}
 	k.invalidateLT()
 	k.p().pt[vpage] = shadow.PageNum()
-	k.noteMap(vpage, shadow.PageNum())
 	return nil
 }
 
@@ -376,7 +338,6 @@ func (k *Kernel) RemapToShadow(vpage uint64, shadow addr.PAddr) error {
 	}
 	k.invalidateLT()
 	k.p().pt[vpage] = shadow.PageNum()
-	k.noteMap(vpage, shadow.PageNum())
 	return nil
 }
 
@@ -384,9 +345,6 @@ func (k *Kernel) RemapToShadow(vpage uint64, shadow addr.PAddr) error {
 func (k *Kernel) Unmap(vpage uint64) {
 	k.invalidateLT()
 	delete(k.p().pt, vpage)
-	if k.mapObs != nil {
-		k.mapObs.OnUnmap(vpage)
-	}
 }
 
 // Translate translates a virtual address to a bus address.
@@ -541,9 +499,6 @@ func (k *Kernel) SwitchProcess(pid int) error {
 	}
 	k.invalidateLT()
 	k.cur = pid
-	if k.mapObs != nil {
-		k.mapObs.OnSwitch(pid)
-	}
 	return nil
 }
 

@@ -139,11 +139,6 @@ type Controller struct {
 	runsBuf   []Run
 	seenBuf   []addr.PAddr
 
-	// opRec observes OS-interface operations (nil = not recording);
-	// trace recording uses it to capture descriptor setup and backing
-	// page-table downloads.
-	opRec OpRecorder
-
 	// onRemap runs after every operation that can change what a shadow
 	// address resolves to (nil = nobody listening). See SetRemapHook.
 	onRemap func()
@@ -151,19 +146,6 @@ type Controller struct {
 	h     *obs.Hub
 	track obs.TrackID
 }
-
-// OpRecorder observes the controller's OS-interface operations, for
-// trace recording. Callbacks fire after the operation succeeds.
-type OpRecorder interface {
-	RecMapPV(pvpage, frame uint64)
-	RecSetDescriptor(slot int, d Descriptor)
-	RecClearDescriptor(slot int)
-	RecMCInvalidateTLB()
-	RecMCInvalidateBuffers()
-}
-
-// SetOpRecorder attaches (or detaches, with nil) an OS-op recorder.
-func (c *Controller) SetOpRecorder(r OpRecorder) { c.opRec = r }
 
 // SetRemapHook installs f (nil detaches) to run after every operation
 // that can change the functional resolution of a shadow address:
@@ -272,9 +254,6 @@ func (c *Controller) SetDescriptor(slot int, d Descriptor) error {
 	if d.Kind == Gather && ds.vecFn == nil {
 		ds.vecFn = c.makeVecFn(ds)
 	}
-	if c.opRec != nil {
-		c.opRec.RecSetDescriptor(slot, d)
-	}
 	c.remapped()
 	return nil
 }
@@ -283,9 +262,6 @@ func (c *Controller) SetDescriptor(slot int, d Descriptor) error {
 func (c *Controller) ClearDescriptor(slot int) {
 	if slot >= 0 && slot < NumDescriptors {
 		c.descs[slot].active = false
-		if c.opRec != nil {
-			c.opRec.RecClearDescriptor(slot)
-		}
 		c.remapped()
 	}
 }
@@ -312,9 +288,6 @@ func overlaps(a, b *Descriptor) bool {
 func (c *Controller) MapPV(pvpage, frame uint64) {
 	c.backing.put(pvpage, frame)
 	c.pgtlb.Invalidate(pvpage)
-	if c.opRec != nil {
-		c.opRec.RecMapPV(pvpage, frame)
-	}
 	c.remapped()
 }
 
@@ -329,9 +302,6 @@ func (c *Controller) MapPVRange(pvBase addr.PVAddr, frames []uint64) {
 
 // InvalidateTLB drops all cached PgTbl translations.
 func (c *Controller) InvalidateTLB() {
-	if c.opRec != nil {
-		c.opRec.RecMCInvalidateTLB()
-	}
 	c.pgtlb.InvalidateAll()
 }
 
@@ -341,9 +311,6 @@ func (c *Controller) InvalidateTLB() {
 // under an active descriptor (e.g. the multiplicand vector of conjugate
 // gradient is rewritten between iterations).
 func (c *Controller) InvalidateBuffers() {
-	if c.opRec != nil {
-		c.opRec.RecMCInvalidateBuffers()
-	}
 	for i := range c.sram {
 		c.sram[i].valid = false
 	}
@@ -481,53 +448,4 @@ func (c *Controller) CoversLine(p addr.PAddr) bool {
 	}
 	ds := c.findDesc(p)
 	return ds != nil && uint64(p)-uint64(ds.d.ShadowBase) < ds.d.Bytes
-}
-
-// --- Pseudo-virtual memory images ---------------------------------------
-
-// pvWalk resolves the pseudo-virtual range [pv, pv+n) through the backing
-// page table and calls fn for each contiguous physical run.
-func (c *Controller) pvWalk(pv addr.PVAddr, n uint64, fn func(p addr.PAddr, bytes uint64)) error {
-	for n > 0 {
-		frame, ok := c.backing.get(pv.PageNum())
-		if !ok {
-			return fmt.Errorf("mc: pseudo-virtual page %#x unmapped", pv.PageNum())
-		}
-		take := uint64(addr.PageSize) - pv.PageOff()
-		if take > n {
-			take = n
-		}
-		fn(addr.PAddr(frame<<addr.PageShift|pv.PageOff()), take)
-		pv += addr.PVAddr(take)
-		n -= take
-	}
-	return nil
-}
-
-// ReadPVImage copies n bytes of simulated memory starting at pseudo-
-// virtual address pv, resolved through the backing page table. Trace
-// recording uses it to snapshot indirection vectors: gather timing reads
-// vector values from memory, so a replay that skips functional stores
-// must restore this image first (WritePVImage) for the gathered line
-// addresses — and hence DRAM timing — to come out identical.
-func (c *Controller) ReadPVImage(pv addr.PVAddr, n uint64) ([]byte, error) {
-	out := make([]byte, 0, n)
-	err := c.pvWalk(pv, n, func(p addr.PAddr, bytes uint64) {
-		out = out[:len(out)+int(bytes)]
-		c.mem.ReadBytes(p, out[uint64(len(out))-bytes:])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WritePVImage writes img into simulated memory at pseudo-virtual
-// address pv (the inverse of ReadPVImage, used on trace replay).
-func (c *Controller) WritePVImage(pv addr.PVAddr, img []byte) error {
-	off := uint64(0)
-	return c.pvWalk(pv, uint64(len(img)), func(p addr.PAddr, bytes uint64) {
-		c.mem.WriteBytes(p, img[off:off+bytes])
-		off += bytes
-	})
 }

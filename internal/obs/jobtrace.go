@@ -21,7 +21,7 @@ import (
 //
 //   - Mark: a lifecycle instant on the "job" track (submitted, archived);
 //   - Phase: a lifecycle span on the "job" track (queued, running, render);
-//   - Cell: a per-cell span (one grid cell's record/replay/execute).
+//   - Cell: a per-cell span (one grid cell's execution or reuse).
 //     Cells run concurrently on the harness pool, so at export time they
 //     are packed onto as few non-overlapping "cells #N" lanes as fit —
 //     the lane layout shows the pool's actual parallelism.

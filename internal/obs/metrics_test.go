@@ -124,15 +124,6 @@ func TestMetricsHandlerFormats(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "# TYPE service_jobs_done counter") {
 		t.Errorf("default format is not prometheus:\n%s", rec.Body.String())
 	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=plain", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; charset=utf-8" {
-		t.Errorf("plain Content-Type = %q", ct)
-	}
-	if !strings.Contains(rec.Body.String(), "service.jobs_done 5\n") {
-		t.Errorf("plain format missing legacy line:\n%s", rec.Body.String())
-	}
 }
 
 func TestHistogramQuantile(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package script implements a small, deterministic memory-access
 // language for driving the simulated machine without writing Go — the
-// equivalent of the trace-replay front ends memory-system simulators
+// equivalent of the trace-driven front ends memory-system simulators
 // usually carry. Programs allocate named regions, move data through the
 // full hierarchy with typed loads/stores, loop, and invoke the Impulse
 // remapping operations; an `impulse`/`else` block lets one program

@@ -1,8 +1,8 @@
 // Run-provenance manifests. Every terminal job gets a Manifest: enough
 // recorded context to answer "what exactly produced these bytes" months
 // later — the canonical spec and its hash, how the harness was
-// configured (workers, fast path), what each grid cell did (executed,
-// recorded, replayed, or reused), how long the job queued and ran,
+// configured (workers, fast path), what each grid cell did (executed
+// or reused), how long the job queued and ran,
 // digests of the result, and the build that produced it. Served at
 // GET /v1/jobs/{id}/manifest.
 package service
@@ -23,13 +23,12 @@ import (
 type CellManifest struct {
 	// Key is the cell's reference-stream identity.
 	Key string `json:"key"`
-	// Mode is "execute", "record", "replay", or "reused" (see
-	// harness.CellEvent).
+	// Mode is "execute" or "reused" (see harness.CellEvent).
 	Mode string `json:"mode"`
 	// DurationUS is the cell's host wall-clock run in microseconds.
 	DurationUS int64 `json:"duration_us"`
-	// DecodeUS is always zero: no cell decodes a trace apart from
-	// applying it. It remains for readers of earlier manifests.
+	// DecodeUS is always zero: no cell decodes a trace. It remains for
+	// readers of earlier manifests (perfbench).
 	DecodeUS int64 `json:"decode_us,omitempty"`
 }
 
@@ -77,6 +76,9 @@ type Manifest struct {
 
 	// How each grid cell ran, sorted by start time (ties by key), plus
 	// per-mode totals. Empty for kinds that run no grid cells.
+	// CellsRecorded and CellsReplayed are always zero: no cell records or
+	// replays a trace. They remain for readers of earlier manifests
+	// (perfbench).
 	CellsRecorded int            `json:"cells_recorded"`
 	CellsReplayed int            `json:"cells_replayed"`
 	CellsExecuted int            `json:"cells_executed"`
@@ -104,11 +106,16 @@ type Manifest struct {
 	Recovered bool `json:"recovered,omitempty"`
 }
 
-// buildManifest assembles j's manifest. Called once, from finishJob,
-// after finalize — the job is terminal and its fields are settled.
+// buildManifest assembles j's manifest from its settled terminal fields.
 func buildManifest(j *Job) *Manifest {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return buildManifestLocked(j)
+}
+
+// buildManifestLocked is buildManifest with j.mu held. finalize calls it
+// before closing done, so a job that is done always has its manifest.
+func buildManifestLocked(j *Job) *Manifest {
 	m := &Manifest{
 		JobID:       j.ID,
 		State:       j.state,
@@ -146,14 +153,9 @@ func buildManifest(j *Job) *Manifest {
 		m.Cells = append(m.Cells, CellManifest{
 			Key: c.Key, Mode: c.Mode, DurationUS: c.End.Sub(c.Start).Microseconds(),
 		})
-		switch c.Mode {
-		case "record":
-			m.CellsRecorded++
-		case "replay":
-			m.CellsReplayed++
-		case "reused":
+		if c.Mode == "reused" {
 			m.CellsReused++
-		default:
+		} else {
 			m.CellsExecuted++
 		}
 	}

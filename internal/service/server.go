@@ -34,7 +34,7 @@ import (
 //	GET  /v1/jobs/{id}/events    live progress (Server-Sent Events)
 //	GET  /healthz                liveness + drain state
 //	GET  /readyz                 readiness: not draining, queue accepting work, archive writable
-//	GET  /metrics                Prometheus text exposition (?format=plain for "name value" lines)
+//	GET  /metrics                Prometheus text exposition
 //	GET  /debug/pprof/           Go runtime profiles (see docs/PERF.md)
 //
 // Every non-pprof endpoint is instrumented: request latency lands in the

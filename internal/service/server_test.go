@@ -251,24 +251,6 @@ func TestHTTPMetricsAndHealthz(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, mb)
 		}
 	}
-
-	// The legacy plain dump stays available for scripts and impulsectl.
-	pr, err := http.Get(ts.URL + "/metrics?format=plain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, _ := io.ReadAll(pr.Body)
-	pr.Body.Close()
-	for _, want := range []string{
-		"service.jobs_submitted 0",
-		"service.jobs_executed 0",
-		"service.queue_capacity 7",
-		"service.executors 3",
-	} {
-		if !strings.Contains(string(pb), want) {
-			t.Errorf("plain metrics missing %q:\n%s", want, pb)
-		}
-	}
 }
 
 // execDirect replicates what the CLIs do for the differential tests: run

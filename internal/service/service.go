@@ -198,8 +198,9 @@ func (j *Job) Subscribe() (replay []Event, ch chan Event, cancel func()) {
 	}
 }
 
-// finalize moves the job to a terminal state, closes done, and closes
-// every subscriber after a final state event. Caller must NOT hold j.mu.
+// finalize moves the job to a terminal state, records its manifest,
+// closes done, and closes every subscriber after a final state event.
+// Caller must NOT hold j.mu.
 func (j *Job) finalize(state State, res *Result, errMsg string, now time.Time) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -214,6 +215,7 @@ func (j *Job) finalize(state State, res *Result, errMsg string, now time.Time) {
 	j.subs = nil
 	ev := Event{Seq: len(j.events), Type: "state", State: state}
 	j.events = append(j.events, ev)
+	j.manifest = buildManifestLocked(j)
 	close(j.done)
 	j.mu.Unlock()
 	for ch := range subs {
@@ -758,10 +760,6 @@ func (s *Service) finishJob(j *Job, state State, res *Result, errMsg string) {
 	}
 	j.finalize(state, res, errMsg, now)
 	j.trace.Mark("archived", now)
-	m := buildManifest(j)
-	j.mu.Lock()
-	j.manifest = m
-	j.mu.Unlock()
 	switch state {
 	case StateDone:
 		s.cDone.Add(1)

@@ -2,7 +2,7 @@
 // concurrent front end over the experiment harness. It accepts
 // experiment specs over HTTP/JSON, canonicalizes and hashes them,
 // executes them on a bounded job queue layered over the internal/harness
-// pool (sharing one process-wide trace cache across every request), and
+// pool (sharing the process-wide cell memo across every request), and
 // deduplicates identical in-flight submissions single-flight style so N
 // clients asking the same capacity-planning question cost one
 // simulation.

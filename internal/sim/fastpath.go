@@ -45,10 +45,10 @@
 //
 //  3. Effect replication. A committed fast access performs exactly the
 //     observable work of the reference L1-hit path, in an order that only
-//     permutes independent effects: recorder callback and Loads/Stores
-//     counters (done by the caller before dispatch), functional data
-//     movement, the L1 LRU touch, hit counters, latency accounting and
-//     clock advance, trace and observability events.
+//     permutes independent effects: Loads/Stores counters (done by the
+//     caller before dispatch), functional data movement, the L1 LRU
+//     touch, hit counters, latency accounting and clock advance, trace
+//     and observability events.
 //
 // Shadow (remapped) lines enter the table only when the controller maps
 // the whole L1 line, through a Direct or Strided descriptor, onto one
@@ -178,17 +178,15 @@ func (m *Machine) fastLoad(v addr.VAddr, size uint64) (uint64, bool) {
 		return 0, false
 	}
 	start := m.clock
+	// readValue minus the shadow dispatch: the controller resolves this
+	// line to dbase onward. A shadow line's dbase need not be
+	// line-aligned, so the offset is added, not or-ed in.
 	var value uint64
-	if m.functional {
-		// readValue minus the shadow dispatch: the controller resolves
-		// this line to dbase onward. A shadow line's dbase need not be
-		// line-aligned, so the offset is added, not or-ed in.
-		d := addr.PAddr(e.dbase + off)
-		if size == 8 {
-			value = m.Mem.Load64(d)
-		} else {
-			value = uint64(m.Mem.Load32(d))
-		}
+	d := addr.PAddr(e.dbase + off)
+	if size == 8 {
+		value = m.Mem.Load64(d)
+	} else {
+		value = uint64(m.Mem.Load32(d))
 	}
 	m.St.L1LoadHits++
 	m.finishLoad(start, start+m.cfg.L1.HitCycles)
@@ -234,14 +232,12 @@ func (m *Machine) fastStore(v addr.VAddr, size, val uint64) bool {
 		return false
 	}
 	start := m.clock
-	if m.functional {
-		// writeValue minus the shadow dispatch (see fastLoad).
-		d := addr.PAddr(e.dbase + off)
-		if size == 8 {
-			m.Mem.Store64(d, val)
-		} else {
-			m.Mem.Store32(d, uint32(val))
-		}
+	// writeValue minus the shadow dispatch (see fastLoad).
+	d := addr.PAddr(e.dbase + off)
+	if size == 8 {
+		m.Mem.Store64(d, val)
+	} else {
+		m.Mem.Store32(d, uint32(val))
 	}
 	m.St.L1StoreHits++
 	m.St.Instructions++

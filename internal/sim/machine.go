@@ -101,12 +101,6 @@ type Machine struct {
 
 	tracer Tracer
 
-	// rec receives the machine-command stream (nil = not recording);
-	// functional gates readValue/writeValue so trace replay can skip
-	// data movement. See record.go.
-	rec        CmdRecorder
-	functional bool
-
 	// obs is the observability hub (nil = not attached, near-zero cost).
 	obs      *obs.Hub
 	cpuTrack obs.TrackID
@@ -163,7 +157,6 @@ func New(cfg Config) (*Machine, error) {
 		TLB:           tlb.New(cfg.TLBEntries),
 		l1LineMask:    cfg.L1.LineBytes - 1,
 		l2LineMask:    cfg.L2.LineBytes - 1,
-		functional:    true,
 		fastOn:        !cfg.DisableFastPath,
 		blockDisjoint: true,
 	}
@@ -204,9 +197,6 @@ func (m *Machine) Now() timeline.Time { return m.clock }
 // single-issue CPU each costs one cycle; with IssueWidth w the CPU
 // retires w per cycle.
 func (m *Machine) Tick(n uint64) {
-	if m.rec != nil {
-		m.rec.RecTick(n)
-	}
 	m.St.Instructions += n
 	w := m.cfg.IssueWidth
 	if w <= 1 {
@@ -233,9 +223,6 @@ type blockEntry struct {
 // virtual range [v, v+bytes) to the contiguous bus range starting at p.
 // Block entries are checked before the page TLB and never miss.
 func (m *Machine) InstallBlockTLB(v addr.VAddr, p addr.PAddr, bytes uint64) {
-	if m.rec != nil {
-		m.rec.RecInstallBlockTLB(v, p, bytes)
-	}
 	ne := blockEntry{vlo: uint64(v), vhi: uint64(v) + bytes, pbase: uint64(p)}
 	for i := range m.blockTLB {
 		if b := &m.blockTLB[i]; ne.vlo < b.vhi && ne.vhi > b.vlo {
@@ -250,9 +237,6 @@ func (m *Machine) InstallBlockTLB(v addr.VAddr, p addr.PAddr, bytes uint64) {
 
 // ClearBlockTLB removes all block translations.
 func (m *Machine) ClearBlockTLB() {
-	if m.rec != nil {
-		m.rec.RecClearBlockTLB()
-	}
 	m.blockTLB = nil
 	m.blockHot = 0
 	m.blockDisjoint = true
@@ -322,18 +306,12 @@ func (m *Machine) TranslateNoFault(v addr.VAddr) (addr.PAddr, bool) {
 // FlushTLB empties the processor TLB (e.g. after the OS rewrites page
 // tables during a remap).
 func (m *Machine) FlushTLB() {
-	if m.rec != nil {
-		m.rec.RecFlushTLB()
-	}
 	m.TLB.InvalidateAll()
 	m.fastInvalidateAll()
 }
 
 // FlushTLBPage drops one translation.
 func (m *Machine) FlushTLBPage(v addr.VAddr) {
-	if m.rec != nil {
-		m.rec.RecFlushTLBPage(v)
-	}
 	m.TLB.Invalidate(v.PageNum())
 	m.fastInvalidateAll()
 }
@@ -425,9 +403,6 @@ func (m *Machine) LoadF64(v addr.VAddr) float64 {
 }
 
 func (m *Machine) load(v addr.VAddr, size uint64) uint64 {
-	if m.rec != nil {
-		m.rec.RecLoad(v, size)
-	}
 	m.St.Loads++
 	if m.fastOn {
 		if value, ok := m.fastLoad(v, size); ok {
@@ -437,15 +412,12 @@ func (m *Machine) load(v addr.VAddr, size uint64) uint64 {
 	return m.loadTail(v, size)
 }
 
-// loadTail is the reference load path: everything after the recorder
-// callback, the Loads counter, and the fast-path attempt.
+// loadTail is the reference load path: everything after the Loads
+// counter and the fast-path attempt.
 func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	start := m.clock
 	p := m.translate(v)
-	var value uint64
-	if m.functional {
-		value = m.readValue(p, size)
-	}
+	value := m.readValue(p, size)
 
 	// L1 probe (virtually indexed, physically tagged).
 	if r := m.L1.Lookup(uint64(v), uint64(p)); r.Hit {
@@ -652,9 +624,6 @@ func (m *Machine) StoreF64(v addr.VAddr, val float64) {
 // not stall on stores beyond the issue cycle (posted writes); the bus, L2
 // port, and DRAM time they consume delays later loads.
 func (m *Machine) store(v addr.VAddr, size, val uint64) {
-	if m.rec != nil {
-		m.rec.RecStore(v, size)
-	}
 	m.St.Stores++
 	if m.fastOn && m.fastStore(v, size, val) {
 		return
@@ -662,14 +631,12 @@ func (m *Machine) store(v addr.VAddr, size, val uint64) {
 	m.storeTail(v, size, val)
 }
 
-// storeTail is the reference store path after the recorder callback, the
-// Stores counter, and the fast-path attempt (see loadTail).
+// storeTail is the reference store path after the Stores counter and the
+// fast-path attempt (see loadTail).
 func (m *Machine) storeTail(v addr.VAddr, size, val uint64) {
 	start := m.clock
 	p := m.translate(v)
-	if m.functional {
-		m.writeValue(p, size, val)
-	}
+	m.writeValue(p, size, val)
 
 	if m.L1.MarkDirty(uint64(v), uint64(p)) {
 		m.St.L1StoreHits++
@@ -712,18 +679,12 @@ const FlushCyclesPerLine = 2
 // requires around remappings ("we assume that an application ... ensures
 // data consistency through appropriate flushing of the caches", §2.3).
 func (m *Machine) FlushVRange(v addr.VAddr, bytes uint64) {
-	if m.rec != nil {
-		m.rec.RecFlushVRange(v, bytes)
-	}
 	m.cacheMaint(v, bytes, true)
 }
 
 // PurgeVRange invalidates without write-back (for data that is dead or
 // clean, e.g. the A and B input tiles in tiled matrix product).
 func (m *Machine) PurgeVRange(v addr.VAddr, bytes uint64) {
-	if m.rec != nil {
-		m.rec.RecPurgeVRange(v, bytes)
-	}
 	m.cacheMaint(v, bytes, false)
 }
 
@@ -780,9 +741,6 @@ func (m *Machine) cacheMaint(v addr.VAddr, bytes uint64, writeback bool) {
 // needed. It must not be used inside a timed section (that is the
 // consistency protocol's job, which costs cycles).
 func (m *Machine) ResetCachesUntimed() {
-	if m.rec != nil {
-		m.rec.RecResetCachesUntimed()
-	}
 	m.L1.FlushAll(nil)
 	m.L2.FlushAll(nil)
 	m.TLB.InvalidateAll()
@@ -794,9 +752,6 @@ func (m *Machine) ResetCachesUntimed() {
 // FlushAllCaches empties both caches, writing dirty lines back
 // functionally-free but charging flush costs.
 func (m *Machine) FlushAllCaches() {
-	if m.rec != nil {
-		m.rec.RecFlushAllCaches()
-	}
 	m.L1.FlushAll(func(lineAddr uint64, dirty bool) {
 		m.St.FlushedLines++
 		m.clock += FlushCyclesPerLine

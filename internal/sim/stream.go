@@ -8,8 +8,8 @@ import (
 
 // Batched stream accessors for unit-stride loops. Each issues exactly the
 // same per-element access sequence the equivalent Go loop would — same
-// recorder commands, same counters, same cycles — so adopting them never
-// changes simulation results or trace v2 bytes. Their benefit is on the
+// counters, same cycles, same trace events — so adopting them never
+// changes simulation results. Their benefit is on the
 // host side: the per-element closure/interface overhead of a workload
 // loop collapses into one call, and the accesses run back-to-back through
 // the MRU fast path (fastpath.go), which unit-stride streams hit on every
