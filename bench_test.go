@@ -13,6 +13,7 @@ package impulse_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"testing"
 
@@ -235,6 +236,20 @@ func BenchmarkTable1Family(b *testing.B) {
 		cycles = g.Baseline().Row.Cycles
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")
+}
+
+// BenchmarkMakeA measures generating the NAS CG input matrix, which
+// every uncached CG job does before it simulates: n=1900 is a cold
+// service job's size, n=14000 the Table 1 grid's.
+func BenchmarkMakeA(b *testing.B) {
+	for _, n := range []int{1900, 14000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impulse.MakeA(n, 7, 0.1, 20)
+			}
+		})
+	}
 }
 
 // --- Host-side microbenchmarks of the simulator itself -----------------

@@ -169,6 +169,9 @@ func main() {
 		default:
 			log.Fatalf("unknown cg mode %q", *mode)
 		}
+		if err := par.Validate(); err != nil {
+			log.Fatal(err)
+		}
 		m := impulse.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 		res, err := impulse.RunCG(newSystem(kind), par, cgMode, m)
 		if err != nil {

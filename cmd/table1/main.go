@@ -39,6 +39,9 @@ func main() {
 	if *full {
 		par.CGIts = 25
 	}
+	if err := par.Validate(); err != nil {
+		log.Fatal(err)
+	}
 
 	progress := func(section, column string) {
 		if !*quiet {

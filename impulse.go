@@ -118,7 +118,8 @@ func CGClassS() CGParams { return workloads.CGClassS() }
 // MMPDefault is the default Table 2 geometry.
 func MMPDefault() MMPParams { return workloads.MMPDefault() }
 
-// MakeA generates the NAS CG input matrix.
+// MakeA generates the NAS CG input matrix. It requires
+// 1 <= nonzer <= n; check a geometry with CGParams.Validate first.
 func MakeA(n, nonzer int, rcond, shift float64) *SparseMatrix {
 	return workloads.MakeA(n, nonzer, rcond, shift)
 }

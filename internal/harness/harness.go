@@ -83,6 +83,9 @@ type Progress func(section, column string)
 // configurations") at the given geometry. The workload's zeta and
 // residual are verified against the host reference for every cell.
 func Table1(ctx context.Context, par workloads.CGParams, progress Progress) (*Grid, error) {
+	if err := par.Validate(); err != nil {
+		return nil, err
+	}
 	m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 	wantZeta, wantRNorm := workloads.RefCG(m, par)
 

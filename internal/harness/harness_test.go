@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"impulse/internal/workloads"
 )
@@ -46,6 +47,27 @@ func TestTable1SmallGrid(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+// TestTable1RejectsUnreachableNonzer: with nonzer > n no vector can hold
+// nonzer distinct positions, so Table1 must return an error before it
+// starts generating the matrix rather than spin forever.
+func TestTable1RejectsUnreachableNonzer(t *testing.T) {
+	par := smallCG()
+	par.N, par.Nonzer = 16, 17
+	done := make(chan error, 1)
+	go func() {
+		_, err := Table1(context.Background(), par, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Table1 accepted nonzer > n")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Table1 with nonzer > n did not return")
 	}
 }
 

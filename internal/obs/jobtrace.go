@@ -20,7 +20,8 @@ import (
 // Three kinds of events:
 //
 //   - Mark: a lifecycle instant on the "job" track (submitted, archived);
-//   - Phase: a lifecycle span on the "job" track (queued, running, render);
+//   - Phase: a lifecycle span on the "job" track (queued, running,
+//     inputs, render);
 //   - Cell: a per-cell span (one grid cell's execution or reuse).
 //     Cells run concurrently on the harness pool, so at export time they
 //     are packed onto as few non-overlapping "cells #N" lanes as fit —

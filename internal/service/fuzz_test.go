@@ -24,6 +24,7 @@ func FuzzSpecCanonical(f *testing.F) {
 		`{"kind":"table1","shift":-0,"rcond":1e-300}`,
 		`{"kind":"bogus"}`,
 		`{`,
+		`{"kind":"table1","n":16,"nonzer":17}`,
 	} {
 		f.Add([]byte(seed))
 	}

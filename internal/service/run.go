@@ -15,9 +15,9 @@ import (
 )
 
 // jobTraceKey carries the owning job's timeline through Execute, so the
-// render phase (grid → bytes) shows up on the job track. Nil outside the
-// service (direct Execute calls, CLIs); every JobTrace method is
-// nil-safe.
+// inputs phase (a sim job's matrix generation) and the render phase
+// (grid → bytes) show up on the job track. Nil outside the service
+// (direct Execute calls, CLIs); every JobTrace method is nil-safe.
 type jobTraceKey struct{}
 
 func withJobTrace(ctx context.Context, t *obs.JobTrace) context.Context {
@@ -207,7 +207,9 @@ func runSim(ctx context.Context, spec Spec, out *bytes.Buffer, collect func(core
 		if err != nil {
 			return err
 		}
+		inputsStart := time.Now()
 		m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
+		jobTraceFrom(ctx).Phase("inputs", inputsStart, time.Now())
 		res, err := workloads.RunCG(s, par, mode, m)
 		if err != nil {
 			return err

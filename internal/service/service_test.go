@@ -98,6 +98,18 @@ func TestSpecCanonicalization(t *testing.T) {
 	}
 }
 
+// TestSpecTable1NonzerBound: a Table 1 geometry whose vectors need more
+// distinct positions than the matrix has would generate forever, so
+// ParseSpec rejects nonzer = n+1 and accepts nonzer = n.
+func TestSpecTable1NonzerBound(t *testing.T) {
+	if _, err := ParseSpec([]byte(`{"kind":"table1","n":16,"nonzer":17}`)); err == nil {
+		t.Error("nonzer = n+1 accepted")
+	}
+	if _, err := ParseSpec([]byte(`{"kind":"table1","n":16,"nonzer":16}`)); err != nil {
+		t.Errorf("nonzer = n rejected: %v", err)
+	}
+}
+
 func TestQueueFullRejects(t *testing.T) {
 	stub := newStub()
 	s := New(Config{QueueDepth: 1, Executors: 1})

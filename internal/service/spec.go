@@ -128,6 +128,9 @@ func (s Spec) Normalize() (Spec, error) {
 		if n.Nonzer < 1 || n.Nonzer > 64 {
 			return n, fmt.Errorf("table1: nonzer=%d out of range [1, 64]", n.Nonzer)
 		}
+		if err := (workloads.CGParams{N: n.N, Nonzer: n.Nonzer}).Validate(); err != nil {
+			return n, fmt.Errorf("table1: %v", err)
+		}
 		if n.Niter < 1 || n.Niter > maxIts || n.CGIts < 1 || n.CGIts > maxIts {
 			return n, fmt.Errorf("table1: niter=%d/cgits=%d out of range [1, %d]", n.Niter, n.CGIts, maxIts)
 		}

@@ -49,6 +49,16 @@ type CGParams struct {
 	RCond  float64 // target condition number (0.1 in all classes)
 }
 
+// Validate checks the geometry MakeA can generate: n >= 1 and
+// 1 <= nonzer <= n. Each generated vector holds nonzer distinct
+// positions in [0, n), so a larger nonzer never finishes drawing.
+func (p CGParams) Validate() error {
+	if p.N < 1 || p.Nonzer < 1 || p.Nonzer > p.N {
+		return fmt.Errorf("workloads: CG geometry n=%d nonzer=%d needs n >= 1 and 1 <= nonzer <= n", p.N, p.Nonzer)
+	}
+	return nil
+}
+
 // CGClassS is the NPB Class S geometry (n=1400), the largest class that
 // is practical to simulate at cycle granularity; the paper's Class A
 // (n=14000) has the same structure at 10x the size.

@@ -7,7 +7,7 @@
 // reference computation.
 package workloads
 
-import "math"
+import "slices"
 
 // randMask is 2^46-1: the NAS pseudorandom generator works modulo 2^46.
 const randMask = (uint64(1) << 46) - 1
@@ -35,7 +35,7 @@ func newNASRand(seed, a uint64) *nasRand {
 // next advances the generator and returns the value scaled to (0,1).
 func (r *nasRand) next() float64 {
 	r.x = (r.x * r.a) & randMask
-	return float64(r.x) * math.Exp2(-46)
+	return float64(r.x) * 0x1p-46
 }
 
 // icnvrt maps a uniform value in (0,1) to an integer in [0, ipwr2), the
@@ -55,20 +55,18 @@ func ceilPow2Int(n int) int {
 
 // sprnvc generates a sparse random vector with nz distinct nonzero
 // positions in [0, n), NPB's sprnvc: positions are drawn by the LCG and
-// rejected if out of range or duplicate.
-func sprnvc(n, nz int, rng *nasRand) (vals []float64, idx []int) {
+// rejected if out of range or already drawn. The vector overwrites vals
+// and idx, reusing their storage.
+func sprnvc(n, nz int, rng *nasRand, vals []float64, idx []int) ([]float64, []int) {
 	nn1 := ceilPow2Int(n)
-	seen := make(map[int]bool, nz)
-	vals = make([]float64, 0, nz)
-	idx = make([]int, 0, nz)
+	vals, idx = vals[:0], idx[:0]
 	for len(idx) < nz {
 		vecelt := rng.next()
 		vecloc := rng.next()
 		i := icnvrt(vecloc, nn1)
-		if i >= n || seen[i] {
+		if i >= n || slices.Contains(idx, i) {
 			continue
 		}
-		seen[i] = true
 		vals = append(vals, vecelt)
 		idx = append(idx, i)
 	}

@@ -46,7 +46,7 @@ func TestNASRandRecurrence(t *testing.T) {
 
 func TestSprnvc(t *testing.T) {
 	r := newNASRand(nasSeed, nasAmult)
-	vals, idx := sprnvc(100, 12, r)
+	vals, idx := sprnvc(100, 12, r, nil, nil)
 	if len(vals) != 12 || len(idx) != 12 {
 		t.Fatalf("lengths %d/%d", len(vals), len(idx))
 	}
