@@ -76,13 +76,15 @@ goldens:
 # bucket series), fetch the job's provenance manifest and Perfetto
 # timeline, render one `top` frame end-to-end, exercise the analytical
 # twin tier (/v1/predict, a tier=twin load burst that must execute
-# nothing, the twin metrics, /readyz), then shut the daemon down
+# nothing, the twin metrics), diff a cg sim job against the direct
+# cmd/impulse-sim run, check /readyz, then shut the daemon down
 # gracefully (SIGTERM -> drain).
 serve-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'kill $$pid 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
 	$(GO) build -o $$dir/impulsed ./cmd/impulsed; \
 	$(GO) build -o $$dir/impulsectl ./cmd/impulsectl; \
 	$(GO) build -o $$dir/table1 ./cmd/table1; \
+	$(GO) build -o $$dir/impulse-sim ./cmd/impulse-sim; \
 	$$dir/impulsed -addr 127.0.0.1:0 -addr-file $$dir/addr 2>$$dir/impulsed.log & pid=$$!; \
 	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
 	[ -s $$dir/addr ] || { echo "impulsed never bound"; cat $$dir/impulsed.log; exit 1; }; \
@@ -129,6 +131,11 @@ serve-smoke:
 		grep -qF "$$want" $$dir/metrics2.out || \
 			{ echo "serve-smoke: /metrics missing: $$want"; cat $$dir/metrics2.out; exit 1; }; \
 	done; \
+	simid=$$($$dir/impulsectl -addr $$addr submit \
+		-spec '{"kind":"sim","workload":"cg","n":300,"cgits":2,"mode":"sg","prefetch":"both"}' | cut -f1); \
+	$$dir/impulsectl -addr $$addr result -wait $$simid >$$dir/sim.service.out; \
+	$$dir/impulse-sim -workload cg -n 300 -cgits 2 -mode sg -prefetch both >$$dir/sim.direct.out; \
+	diff -u $$dir/sim.direct.out $$dir/sim.service.out || { echo "serve-smoke: sim job output differs from impulse-sim"; exit 1; }; \
 	curl -fsS http://$$addr/readyz >$$dir/readyz.out || \
 		{ echo "serve-smoke: /readyz not ready"; cat $$dir/readyz.out; exit 1; }; \
 	grep -qF '"status": "ready"' $$dir/readyz.out || \

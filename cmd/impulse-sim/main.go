@@ -1,7 +1,8 @@
 // Command impulse-sim runs a single workload on a single memory-system
 // configuration and prints its metrics — the general-purpose entry point
 // for exploring the simulator (the tables have dedicated commands,
-// cmd/table1 and cmd/table2).
+// cmd/table1 and cmd/table2). The run itself is harness.RunSim, which
+// the service's sim jobs also call; this command adds its observers.
 //
 // Examples:
 //
@@ -21,13 +22,11 @@ import (
 	"os"
 	"strings"
 
-	"impulse"
 	"impulse/internal/core"
 	"impulse/internal/harness"
 	"impulse/internal/obs"
 	"impulse/internal/profiling"
 	"impulse/internal/sim"
-	"impulse/internal/workloads"
 )
 
 func main() {
@@ -36,7 +35,7 @@ func main() {
 
 	workload := flag.String("workload", "cg", "workload: cg|mmp|cholesky|spark|db|diag|ipc|script")
 	scriptFile := flag.String("file", "", "script file (workload=script)")
-	mode := flag.String("mode", "conventional", "cg: conventional|sg|recolor; mmp: nocopy|copy|remap; diag/ipc: conventional|impulse")
+	mode := flag.String("mode", "conventional", harness.SimModeHelp())
 	prefetch := flag.String("prefetch", "none", "prefetch policy: none|mc|l1|both")
 	n := flag.Int("n", 0, "problem dimension (0 = workload default)")
 	tile := flag.Int("tile", 32, "mmp tile dimension")
@@ -70,18 +69,14 @@ func main() {
 		return
 	}
 
-	var pf core.PrefetchPolicy
-	switch *prefetch {
-	case "none":
-		pf = impulse.PrefetchNone
-	case "mc":
-		pf = impulse.PrefetchMC
-	case "l1":
-		pf = impulse.PrefetchL1
-	case "both":
-		pf = impulse.PrefetchBoth
-	default:
-		log.Fatalf("unknown prefetch policy %q", *prefetch)
+	var src []byte
+	if *workload == "script" {
+		if *scriptFile == "" {
+			log.Fatal("workload=script requires -file")
+		}
+		if src, err = os.ReadFile(*scriptFile); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// One hub serves the whole invocation; workloads that build several
@@ -99,11 +94,11 @@ func main() {
 		hub = obs.New(cfg)
 	}
 
-	var lastSys *impulse.System
-	newSystem := func(kind core.ControllerKind) *impulse.System {
-		s, err := impulse.NewSystem(impulse.Options{Controller: kind, Prefetch: pf})
+	var lastSys *core.System
+	newSystem := func(opts core.Options) (*core.System, error) {
+		s, err := core.NewSystem(opts)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		lastSys = s
 		if hub != nil {
@@ -118,199 +113,13 @@ func main() {
 				}
 			})
 		}
-		return s
+		return s, nil
 	}
 
-	switch *workload {
-	case "script":
-		if *scriptFile == "" {
-			log.Fatal("workload=script requires -file")
-		}
-		src, err := os.ReadFile(*scriptFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		prog, err := impulse.ParseScript(string(src))
-		if err != nil {
-			log.Fatal(err)
-		}
-		kind := impulse.Conventional
-		if *mode == "impulse" || pf == impulse.PrefetchMC || pf == impulse.PrefetchBoth {
-			kind = impulse.Impulse
-		}
-		res, err := impulse.RunScript(newSystem(kind), prog)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%v\nchecksum=%v\n", res.Row, res.Checksum)
-
-	case "cg":
-		par := impulse.CGPaperGeometry()
-		par.CGIts = *cgits
-		par.Niter = *niter
-		if *n > 0 {
-			par.N = *n
-		}
-		if *classS {
-			par = impulse.CGClassS()
-		}
-		var cgMode workloads.CGMode
-		kind := impulse.Impulse
-		switch *mode {
-		case "conventional":
-			cgMode = impulse.CGConventional
-			if pf == impulse.PrefetchNone || pf == impulse.PrefetchL1 {
-				kind = impulse.Conventional
-			}
-		case "sg":
-			cgMode = impulse.CGScatterGather
-		case "recolor":
-			cgMode = impulse.CGRecolor
-		default:
-			log.Fatalf("unknown cg mode %q", *mode)
-		}
-		if err := par.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		m := impulse.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
-		res, err := impulse.RunCG(newSystem(kind), par, cgMode, m)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%v\nzeta=%.13f rnorm=%.3e nnz=%d\n", res.Row, res.Zeta, res.RNorm, res.NNZ)
-
-	case "mmp":
-		par := impulse.MMPDefault()
-		if *n > 0 {
-			par.N = *n
-		}
-		par.Tile = *tile
-		var mmpMode workloads.MMPMode
-		kind := impulse.Conventional
-		switch *mode {
-		case "conventional", "nocopy":
-			mmpMode = impulse.MMPNoCopyTiled
-		case "copy":
-			mmpMode = impulse.MMPCopyTiled
-		case "remap":
-			mmpMode = impulse.MMPTileRemap
-			kind = impulse.Impulse
-		default:
-			log.Fatalf("unknown mmp mode %q", *mode)
-		}
-		if pf == impulse.PrefetchMC || pf == impulse.PrefetchBoth {
-			kind = impulse.Impulse
-		}
-		res, err := impulse.RunMMP(newSystem(kind), par, mmpMode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		want := workloads.RefMMP(par)
-		status := "ok"
-		if res.Checksum != want {
-			status = "MISMATCH"
-		}
-		fmt.Printf("%v\nchecksum=%v (%s)\n", res.Row, res.Checksum, status)
-
-	case "cholesky":
-		nn := 128
-		if *n > 0 {
-			nn = *n
-		}
-		var chMode workloads.CholeskyMode
-		kind := impulse.Conventional
-		switch *mode {
-		case "conventional", "nocopy":
-			chMode = workloads.CholNoCopy
-		case "copy":
-			chMode = workloads.CholCopy
-		case "remap":
-			chMode = workloads.CholRemap
-			kind = impulse.Impulse
-		default:
-			log.Fatalf("unknown cholesky mode %q", *mode)
-		}
-		if pf == impulse.PrefetchMC || pf == impulse.PrefetchBoth {
-			kind = impulse.Impulse
-		}
-		res, err := workloads.RunCholesky(newSystem(kind), nn, *tile, chMode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		want := workloads.RefCholesky(nn, *tile)
-		status := "ok"
-		if res.Checksum != want {
-			status = "MISMATCH"
-		}
-		fmt.Printf("%v\nchecksum=%v (%s)\n", res.Row, res.Checksum, status)
-
-	case "spark":
-		side := 200
-		if *n > 0 {
-			side = *n
-		}
-		mesh := workloads.MakeSparkMesh(side, side)
-		gather := *mode == "sg" || *mode == "impulse"
-		kind := impulse.Conventional
-		if gather || pf == impulse.PrefetchMC || pf == impulse.PrefetchBoth {
-			kind = impulse.Impulse
-		}
-		res, err := workloads.RunSpark(newSystem(kind), mesh, 1, gather)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%v\nchecksum=%v (%s)\n", res.Row, res.Checksum, mesh)
-
-	case "db":
-		p := workloads.DBDefault()
-		if *n > 0 {
-			p.Records = *n
-		}
-		useImp := *mode == "impulse"
-		kind := impulse.Conventional
-		if useImp || pf == impulse.PrefetchMC || pf == impulse.PrefetchBoth {
-			kind = impulse.Impulse
-		}
-		proj, err := workloads.RunDBProjection(newSystem(kind), p, useImp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		idx, err := workloads.RunDBIndexScan(newSystem(kind), p, 16, useImp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("projection: %v\nindex scan: %v\n", proj.Row, idx.Row)
-
-	case "diag":
-		useImpulse := *mode == "impulse"
-		dim := 512
-		if *n > 0 {
-			dim = *n
-		}
-		kind := impulse.Conventional
-		if useImpulse || pf == impulse.PrefetchMC || pf == impulse.PrefetchBoth {
-			kind = impulse.Impulse
-		}
-		res, err := workloads.RunDiagonal(newSystem(kind), dim, 4, useImpulse)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(res)
-
-	case "ipc":
-		useImpulse := *mode == "impulse"
-		kind := impulse.Conventional
-		if useImpulse || pf == impulse.PrefetchMC || pf == impulse.PrefetchBoth {
-			kind = impulse.Impulse
-		}
-		res, err := workloads.RunIPC(newSystem(kind), 16, 128, 8, useImpulse)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%v\nchecksum=%v\n", res.Row, res.Checksum)
-
-	default:
-		log.Fatalf("unknown workload %q", *workload)
+	p := harness.SimParams{Workload: *workload, Mode: *mode, Prefetch: *prefetch, N: *n,
+		Tile: *tile, CGIts: *cgits, Niter: *niter, ClassS: *classS, Script: string(src)}
+	if err := harness.RunSim(p, newSystem, nil, os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 	if *hist && lastSys != nil {
 		fmt.Printf("\nload-latency histogram (cycles):\n%s", lastSys.St.LoadLatency.String())

@@ -28,19 +28,8 @@ import (
 
 	"impulse"
 	"impulse/internal/fleet"
-	"impulse/internal/obs"
 	"impulse/internal/service"
 )
-
-// warnWriter adapts obs.SetWarnOutput's io.Writer contract to the
-// structured logger: each one-shot advisory becomes a WARN record
-// instead of a bare stderr line.
-type warnWriter struct{ log *slog.Logger }
-
-func (w warnWriter) Write(p []byte) (int, error) {
-	w.log.Warn(strings.TrimRight(string(p), "\n"))
-	return len(p), nil
-}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7777", "listen address (use :0 for an ephemeral port)")
@@ -79,10 +68,6 @@ func main() {
 	slog.SetDefault(log)
 
 	impulse.SetWorkers(*jobs)
-	// Route one-shot advisory notes through the structured log instead
-	// of bare stderr. Notes fired inside a job carry its id
-	// (obs.WarnOnceCtx).
-	obs.SetWarnOutput(warnWriter{log})
 
 	svc := service.New(service.Config{
 		QueueDepth:       *queueDepth,

@@ -364,6 +364,57 @@ func TestFleetSingleFlight(t *testing.T) {
 	}
 }
 
+// TestTwinIneligibleRoutesLikeSimulation: a tier=twin sweep whose
+// family has no twin is the plain simulation on every shard, so the
+// router must send it where the plain spec lives. Against real services
+// it joins the plain job instead of executing again on another shard.
+func TestTwinIneligibleRoutesLikeSimulation(t *testing.T) {
+	var backends []*service.Service
+	var shards []ShardConfig
+	for i := 0; i < 2; i++ {
+		s := service.New(service.Config{Executors: 1})
+		t.Cleanup(s.Close)
+		srv := httptest.NewServer(s.Handler())
+		t.Cleanup(srv.Close)
+		backends = append(backends, s)
+		shards = append(shards, ShardConfig{Name: fmt.Sprintf("s%d", i), URL: srv.URL})
+	}
+	rt, _ := newTestRouter(t, shards)
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	resp, first := postJSON(t, ts.URL+"/v1/jobs", `{"kind":"sweep","family":"ipc","fast":true}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("plain submit status %d: %v", resp.StatusCode, first)
+	}
+	resp, second := postJSON(t, ts.URL+"/v1/jobs", `{"kind":"sweep","family":"ipc","fast":true,"tier":"twin"}`)
+	if resp.StatusCode != http.StatusOK || second["id"] != first["id"] {
+		t.Fatalf("twin-tier resubmit: status %d job %v, want 200 and job %v", resp.StatusCode, second["id"], first["id"])
+	}
+	res, err := http.Get(ts.URL + "/v1/jobs/" + first["id"].(string) + "/result?wait=60s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("result via router: status %d", res.StatusCode)
+	}
+	var executed, ineligible uint64
+	for _, b := range backends {
+		n, _ := b.Registry().Value("service.jobs_executed")
+		executed += n
+		n, _ = b.Registry().Value("service.twin_ineligible")
+		ineligible += n
+	}
+	if executed != 1 {
+		t.Errorf("%d executions fleet-wide, want exactly 1", executed)
+	}
+	if ineligible != 1 {
+		t.Errorf("shards counted %d ineligible twin requests, want 1", ineligible)
+	}
+}
+
 // TestShardsAndReadyz: introspection endpoints report per-shard state,
 // and readiness follows the healthy-shard count.
 func TestShardsAndReadyz(t *testing.T) {

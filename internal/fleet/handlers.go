@@ -13,7 +13,6 @@ import (
 
 	"impulse/internal/obs"
 	"impulse/internal/service"
-	"impulse/internal/twin"
 )
 
 // Handler returns the router's HTTP frontend. It speaks the same API as
@@ -71,18 +70,20 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if norm.Tier == service.TierTwin {
-		if _, ok := twin.Eligible(norm.Family); ok {
-			// The twin tier is cheaper than the proxy round trip itself:
-			// answer at the router. Local job IDs carry no shard prefix,
-			// so later lookups route back here too.
-			rt.cTwinLocal.Add(1)
-			r2 := r.Clone(r.Context())
-			r2.Body = io.NopCloser(bytes.NewReader(body))
-			r2.ContentLength = int64(len(body))
-			rt.localH.ServeHTTP(w, r2)
-			return
-		}
+	// Route on the spec the shard will hash: a twin request for a family
+	// without a twin is the plain simulation. The body goes on
+	// unchanged, so the shard still counts the twin request.
+	norm, twinAnswers := service.ResolveTier(norm)
+	if twinAnswers {
+		// The twin tier is cheaper than the proxy round trip itself:
+		// answer at the router. Local job IDs carry no shard prefix,
+		// so later lookups route back here too.
+		rt.cTwinLocal.Add(1)
+		r2 := r.Clone(r.Context())
+		r2.Body = io.NopCloser(bytes.NewReader(body))
+		r2.ContentLength = int64(len(body))
+		rt.localH.ServeHTTP(w, r2)
+		return
 	}
 	rt.observeCost(rt.estimateCostUS(norm))
 

@@ -3,8 +3,12 @@
 // prefetch policies), Table 2 (tiled matrix-matrix product under three
 // tiling strategies and four prefetch policies), the Figure 1 diagonal
 // microkernel, and the extension/ablation experiments indexed in
-// DESIGN.md. Every run verifies the workload's numerical output against
-// the host reference before reporting timing.
+// DESIGN.md. Table, figure and sweep runs whose workload computes a
+// numerical result verify it against the host reference before
+// reporting timing. RunSim, the single-configuration runner behind
+// cmd/impulse-sim and the service's sim jobs, prints the result beside
+// its row instead, marking mmp's and cholesky's ok or MISMATCH against
+// the reference.
 package harness
 
 import (

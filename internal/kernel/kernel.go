@@ -341,12 +341,6 @@ func (k *Kernel) RemapToShadow(vpage uint64, shadow addr.PAddr) error {
 	return nil
 }
 
-// Unmap removes a virtual page mapping.
-func (k *Kernel) Unmap(vpage uint64) {
-	k.invalidateLT()
-	delete(k.p().pt, vpage)
-}
-
 // Translate translates a virtual address to a bus address.
 func (k *Kernel) Translate(v addr.VAddr) (addr.PAddr, bool) {
 	page := v.PageNum()

@@ -151,8 +151,8 @@ type Controller struct {
 // that can change the functional resolution of a shadow address:
 // SetDescriptor, ClearDescriptor and MapPV. The machine uses it to drop
 // cached shadow-line translations (LineBase answers), so no caller of
-// those operations can leave a stale one behind. InvalidateTLB and
-// InvalidateBuffers change timing only and do not fire it.
+// those operations can leave a stale one behind. InvalidateBuffers
+// changes timing only and does not fire it.
 func (c *Controller) SetRemapHook(f func()) { c.onRemap = f }
 
 func (c *Controller) remapped() {
@@ -298,11 +298,6 @@ func (c *Controller) MapPVRange(pvBase addr.PVAddr, frames []uint64) {
 	for i, f := range frames {
 		c.MapPV(base+uint64(i), f)
 	}
-}
-
-// InvalidateTLB drops all cached PgTbl translations.
-func (c *Controller) InvalidateTLB() {
-	c.pgtlb.InvalidateAll()
 }
 
 // InvalidateBuffers drops all prefetched data held at the controller (the

@@ -19,8 +19,7 @@ import (
 )
 
 // Memory is byte-addressable simulated DRAM. All multi-byte accesses are
-// little-endian and may not cross a page boundary unless they go through
-// ReadBytes/WriteBytes (which handle splits).
+// little-endian; one that crosses a page boundary is split bytewise.
 type Memory struct {
 	frames    []*[addr.PageSize]byte
 	allocated uint64 // number of frames actually backed
@@ -159,36 +158,5 @@ func (m *Memory) loadCross(p addr.PAddr, n int) uint64 {
 func (m *Memory) storeCross(p addr.PAddr, v uint64, n int) {
 	for i := 0; i < n; i++ {
 		m.Store8(p+addr.PAddr(i), uint8(v>>(8*i)))
-	}
-}
-
-// ReadBytes copies len(dst) bytes starting at p into dst, handling page
-// crossings.
-func (m *Memory) ReadBytes(p addr.PAddr, dst []byte) {
-	for len(dst) > 0 {
-		off := p.PageOff()
-		n := uint64(len(dst))
-		if room := uint64(addr.PageSize) - off; n > room {
-			n = room
-		}
-		f := m.frame(p)
-		copy(dst[:n], f[off:off+n])
-		dst = dst[n:]
-		p += addr.PAddr(n)
-	}
-}
-
-// WriteBytes copies src into memory starting at p, handling page crossings.
-func (m *Memory) WriteBytes(p addr.PAddr, src []byte) {
-	for len(src) > 0 {
-		off := p.PageOff()
-		n := uint64(len(src))
-		if room := uint64(addr.PageSize) - off; n > room {
-			n = room
-		}
-		f := m.frame(p)
-		copy(f[off:off+n], src[:n])
-		src = src[n:]
-		p += addr.PAddr(n)
 	}
 }

@@ -1,7 +1,6 @@
 package membuf
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -53,21 +52,6 @@ func TestPageCrossingScalar(t *testing.T) {
 	}
 }
 
-func TestReadWriteBytesCrossing(t *testing.T) {
-	m := New(8)
-	src := make([]byte, 3*addr.PageSize/2)
-	for i := range src {
-		src[i] = byte(i * 7)
-	}
-	p := addr.PAddr(addr.PageSize / 2)
-	m.WriteBytes(p, src)
-	dst := make([]byte, len(src))
-	m.ReadBytes(p, dst)
-	if !bytes.Equal(src, dst) {
-		t.Error("ReadBytes != WriteBytes across pages")
-	}
-}
-
 func TestLazyAllocation(t *testing.T) {
 	m := New(1024)
 	if m.AllocatedFrames() != 0 {
@@ -108,23 +92,6 @@ func TestQuickScalarRoundTrip(t *testing.T) {
 		p := addr.PAddr(off % limit)
 		m.Store64(p, v)
 		return m.Load64(p) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickBytesRoundTrip(t *testing.T) {
-	m := New(64)
-	f := func(off uint16, data []byte) bool {
-		if len(data) > 9000 {
-			data = data[:9000]
-		}
-		p := addr.PAddr(off)
-		m.WriteBytes(p, data)
-		got := make([]byte, len(data))
-		m.ReadBytes(p, got)
-		return bytes.Equal(data, got)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

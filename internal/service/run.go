@@ -162,120 +162,18 @@ func writeGridView(out *bytes.Buffer, blob []byte, format string) (string, error
 	return "text/plain; charset=utf-8", colres.RenderText(doc, out)
 }
 
-// runSim mirrors cmd/impulse-sim's single-configuration runs (the
-// cg/mmp/diag/ipc workloads), printing the exact output format that
-// command prints so results compare 1:1.
+// runSim runs one single-configuration spec through harness.RunSim,
+// the runner cmd/impulse-sim calls, so a sim job prints exactly what
+// the command prints. Its timeline records cg's matrix generation as
+// an inputs phase.
 func runSim(ctx context.Context, spec Spec, out *bytes.Buffer, collect func(core.Row)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var pf core.PrefetchPolicy
-	switch spec.Prefetch {
-	case "none":
-		pf = core.PrefetchNone
-	case "mc":
-		pf = core.PrefetchMC
-	case "l1":
-		pf = core.PrefetchL1
-	case "both":
-		pf = core.PrefetchBoth
-	}
-	newSystem := func(kind core.ControllerKind) (*core.System, error) {
-		return core.NewSystem(core.Options{Controller: kind, Prefetch: pf, RowObserver: collect})
-	}
-	pfWantsImpulse := pf == core.PrefetchMC || pf == core.PrefetchBoth
-
-	switch spec.Workload {
-	case "cg":
-		par := workloads.CGParams{N: spec.N, Nonzer: workloads.CGPaperGeometry().Nonzer,
-			Niter: spec.Niter, CGIts: spec.CGIts,
-			Shift: workloads.CGPaperGeometry().Shift, RCond: workloads.CGPaperGeometry().RCond}
-		var mode workloads.CGMode
-		kind := core.Impulse
-		switch spec.Mode {
-		case "conventional":
-			mode = workloads.CGConventional
-			if !pfWantsImpulse {
-				kind = core.Conventional
-			}
-		case "sg":
-			mode = workloads.CGScatterGather
-		case "recolor":
-			mode = workloads.CGRecolor
-		}
-		s, err := newSystem(kind)
-		if err != nil {
-			return err
-		}
-		inputsStart := time.Now()
-		m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
-		jobTraceFrom(ctx).Phase("inputs", inputsStart, time.Now())
-		res, err := workloads.RunCG(s, par, mode, m)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%v\nzeta=%.13f rnorm=%.3e nnz=%d\n", res.Row, res.Zeta, res.RNorm, res.NNZ)
-	case "mmp":
-		par := workloads.MMPParams{N: spec.N, Tile: spec.Tile}
-		var mode workloads.MMPMode
-		kind := core.Conventional
-		switch spec.Mode {
-		case "nocopy":
-			mode = workloads.MMPNoCopyTiled
-		case "copy":
-			mode = workloads.MMPCopyTiled
-		case "remap":
-			mode = workloads.MMPTileRemap
-			kind = core.Impulse
-		}
-		if pfWantsImpulse {
-			kind = core.Impulse
-		}
-		s, err := newSystem(kind)
-		if err != nil {
-			return err
-		}
-		res, err := workloads.RunMMP(s, par, mode)
-		if err != nil {
-			return err
-		}
-		status := "ok"
-		if res.Checksum != workloads.RefMMP(par) {
-			status = "MISMATCH"
-		}
-		fmt.Fprintf(out, "%v\nchecksum=%v (%s)\n", res.Row, res.Checksum, status)
-	case "diag":
-		useImpulse := spec.Mode == "impulse"
-		kind := core.Conventional
-		if useImpulse || pfWantsImpulse {
-			kind = core.Impulse
-		}
-		s, err := newSystem(kind)
-		if err != nil {
-			return err
-		}
-		res, err := workloads.RunDiagonal(s, spec.N, 4, useImpulse)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, res)
-	case "ipc":
-		useImpulse := spec.Mode == "impulse"
-		kind := core.Conventional
-		if useImpulse || pfWantsImpulse {
-			kind = core.Impulse
-		}
-		s, err := newSystem(kind)
-		if err != nil {
-			return err
-		}
-		res, err := workloads.RunIPC(s, 16, 128, 8, useImpulse)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%v\nchecksum=%v\n", res.Row, res.Checksum)
-	default:
-		return fmt.Errorf("unknown sim workload %q", spec.Workload)
-	}
-	return nil
+	p := harness.SimParams{Workload: spec.Workload, Mode: spec.Mode, Prefetch: spec.Prefetch,
+		N: spec.N, Tile: spec.Tile, CGIts: spec.CGIts, Niter: spec.Niter}
+	return harness.RunSim(p, func(opts core.Options) (*core.System, error) {
+		opts.RowObserver = collect
+		return core.NewSystem(opts)
+	}, jobTraceFrom(ctx), out)
 }

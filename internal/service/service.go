@@ -17,7 +17,6 @@ import (
 	"impulse/internal/harness"
 	"impulse/internal/obs"
 	"impulse/internal/store"
-	"impulse/internal/twin"
 )
 
 // State is a job's lifecycle state.
@@ -503,14 +502,12 @@ func (s *Service) Submit(spec Spec) (job *Job, deduped bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	instant := false
-	if norm.Tier == TierTwin {
+	twinRequested := norm.Tier == TierTwin
+	norm, instant := ResolveTier(norm)
+	if twinRequested {
 		s.cTwinRequests.Add(1)
-		if _, ok := twin.Eligible(norm.Family); ok {
-			instant = true
-		} else {
+		if !instant {
 			s.cTwinIneligible.Add(1)
-			norm.Tier = ""
 		}
 	}
 
@@ -540,8 +537,9 @@ func (s *Service) admit(norm Spec, hash string, instant bool) (job *Job, deduped
 		return j, true, nil
 	}
 	if j := s.byHash[hash]; j != nil {
+		// A finished job's timeline is closed: a cache hit is counted,
+		// not marked, or a warm daemon's repeats would grow it forever.
 		s.cCacheHit.Add(1)
-		j.trace.Mark("dedup", time.Now())
 		s.touchArchived(j)
 		return j, true, nil
 	}
@@ -666,10 +664,9 @@ func (s *Service) runJob(j *Job) {
 	log := s.logger.With("job", j.ID, "kind", j.Spec.Kind, "hash", j.Hash)
 	log.Info("job started", "queue_wait_ms", queueWait.Milliseconds())
 
-	// The execution context carries the job id (advisory attribution),
-	// the cell observer (timeline + manifest), and the job trace (the
-	// render phase is recorded from inside Execute).
-	ctx = obs.WithJobID(ctx, j.ID)
+	// The execution context carries the cell observer (timeline +
+	// manifest) and the job trace (the inputs and render phases are
+	// recorded from inside Execute).
 	ctx = harness.WithCellObserver(ctx, j.observeCell)
 	ctx = withJobTrace(ctx, j.trace)
 	// Stream each finished grid cell to SSE subscribers as a columnar

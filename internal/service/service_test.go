@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -425,5 +427,57 @@ func TestArchiveEviction(t *testing.T) {
 	<-j.Done()
 	if res := j.Result(); res == nil || string(res.Output) != "n=512" {
 		t.Fatalf("re-executed result: %+v", res)
+	}
+}
+
+// TestCacheHitLeavesTimelineUnchanged: resubmitting a finished job's
+// spec is a cache hit, counted by service.jobs_cache_hits. It must not
+// grow that job's timeline; only a submission that joins a queued or
+// running job leaves a dedup mark (TestManifestAndTraceEndpoints).
+func TestCacheHitLeavesTimelineUnchanged(t *testing.T) {
+	s := New(Config{QueueDepth: 4, Executors: 1})
+	defer s.Close()
+	j, _, err := s.Submit(diagSpec(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateDone)
+	hits := func() uint64 {
+		n, _ := s.Registry().Value("service.jobs_cache_hits")
+		return n
+	}
+	// The job leaves the in-flight index just after it reads done; wait
+	// for the first cache hit.
+	for deadline := time.Now().Add(10 * time.Second); hits() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no resubmission was ever a cache hit")
+		}
+		if got, _, err := s.Submit(diagSpec(64)); err != nil || got != j {
+			t.Fatalf("resubmit: job %v, err %v", got, err)
+		}
+	}
+	events := func() int {
+		var buf bytes.Buffer
+		if err := j.Trace().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct{ TraceEvents []json.RawMessage }
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return len(doc.TraceEvents)
+	}
+	before := events()
+	const k = 50
+	for i := 0; i < k; i++ {
+		if got, deduped, err := s.Submit(diagSpec(64)); err != nil || got != j || !deduped {
+			t.Fatalf("resubmit %d: job %v deduped %v, err %v", i, got, deduped, err)
+		}
+	}
+	if after := events(); after != before {
+		t.Errorf("%d cache hits grew the finished job's timeline from %d to %d events", k, before, after)
+	}
+	if n := hits(); n < k+1 {
+		t.Errorf("service.jobs_cache_hits = %d, want at least %d", n, k+1)
 	}
 }

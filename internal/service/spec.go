@@ -51,8 +51,9 @@ type Spec struct {
 	Dim    int     `json:"dim,omitempty"`
 	Sweeps int     `json:"sweeps,omitempty"`
 
-	// Single-configuration runs (kind "sim", mirroring cmd/impulse-sim):
-	// Workload cg|mmp|diag|ipc, its mode, and a prefetch policy.
+	// Single-configuration runs (kind "sim", run by harness.RunSim as
+	// cmd/impulse-sim runs them): Workload cg|mmp|diag|ipc, a mode from
+	// the runner's mode table, and a prefetch policy.
 	Workload string `json:"workload,omitempty"`
 	Mode     string `json:"mode,omitempty"`
 	Prefetch string `json:"prefetch,omitempty"`
@@ -185,20 +186,25 @@ func (s Spec) Normalize() (Spec, error) {
 		if n.Workload == "" {
 			n.Workload = "cg"
 		}
+		if n.Mode == "" {
+			n.Mode = "conventional"
+		}
 		if n.Prefetch == "" {
 			n.Prefetch = "none"
 		}
-		if !contains([]string{"none", "mc", "l1", "both"}, n.Prefetch) {
-			return n, fmt.Errorf("sim: unknown prefetch %q (none|mc|l1|both)", n.Prefetch)
+		if !contains([]string{"cg", "mmp", "diag", "ipc"}, n.Workload) {
+			return n, fmt.Errorf("sim: unknown workload %q (cg|mmp|diag|ipc)", n.Workload)
+		}
+		mode, err := harness.SimMode(n.Workload, n.Mode)
+		if err != nil {
+			return n, fmt.Errorf("sim: %v", err)
+		}
+		n.Mode = mode
+		if _, err := harness.ParsePrefetch(n.Prefetch); err != nil {
+			return n, fmt.Errorf("sim: %v", err)
 		}
 		switch n.Workload {
 		case "cg":
-			if n.Mode == "" {
-				n.Mode = "conventional"
-			}
-			if !contains([]string{"conventional", "sg", "recolor"}, n.Mode) {
-				return n, fmt.Errorf("sim: unknown cg mode %q (conventional|sg|recolor)", n.Mode)
-			}
 			def := workloads.CGPaperGeometry()
 			if n.N == 0 {
 				n.N = def.N
@@ -214,15 +220,6 @@ func (s Spec) Normalize() (Spec, error) {
 			}
 			n.Tile = 0
 		case "mmp":
-			if n.Mode == "" {
-				n.Mode = "nocopy"
-			}
-			if n.Mode == "conventional" {
-				n.Mode = "nocopy" // impulse-sim accepts both spellings
-			}
-			if !contains([]string{"nocopy", "copy", "remap"}, n.Mode) {
-				return n, fmt.Errorf("sim: unknown mmp mode %q (nocopy|copy|remap)", n.Mode)
-			}
 			def := workloads.MMPDefault()
 			if n.N == 0 {
 				n.N = def.N
@@ -235,12 +232,6 @@ func (s Spec) Normalize() (Spec, error) {
 			}
 			n.CGIts, n.Niter = 0, 0
 		case "diag":
-			if n.Mode == "" {
-				n.Mode = "conventional"
-			}
-			if !contains([]string{"conventional", "impulse"}, n.Mode) {
-				return n, fmt.Errorf("sim: unknown diag mode %q (conventional|impulse)", n.Mode)
-			}
 			if n.N == 0 {
 				n.N = 512
 			}
@@ -249,15 +240,7 @@ func (s Spec) Normalize() (Spec, error) {
 			}
 			n.CGIts, n.Niter, n.Tile = 0, 0, 0
 		case "ipc":
-			if n.Mode == "" {
-				n.Mode = "conventional"
-			}
-			if !contains([]string{"conventional", "impulse"}, n.Mode) {
-				return n, fmt.Errorf("sim: unknown ipc mode %q (conventional|impulse)", n.Mode)
-			}
 			n.N, n.CGIts, n.Niter, n.Tile = 0, 0, 0, 0
-		default:
-			return n, fmt.Errorf("sim: unknown workload %q (cg|mmp|diag|ipc)", n.Workload)
 		}
 		n.Family, n.Fast, n.Format, n.Nonzer, n.Shift, n.RCond, n.Dim, n.Sweeps = "", false, "", 0, 0, 0, 0, 0
 	case "":

@@ -17,6 +17,23 @@ import (
 	"impulse/internal/twin/validate"
 )
 
+// ResolveTier decides who answers a normalized spec. A tier=twin sweep
+// whose family has a twin is answered by the twin (twinAnswers). Any
+// other spec is simulated; a twin request for a family without a twin
+// comes back with its tier cleared, so it hashes, routes and caches as
+// the simulation it runs. Service.Submit and the fleet router both
+// decide through it, so a submission lands where its job lives.
+func ResolveTier(norm Spec) (resolved Spec, twinAnswers bool) {
+	if norm.Tier != TierTwin {
+		return norm, false
+	}
+	if _, ok := twin.Eligible(norm.Family); ok {
+		return norm, true
+	}
+	norm.Tier = ""
+	return norm, false
+}
+
 // runTwinJob executes an admitted twin-tier job synchronously. The job
 // is already registered in-flight, so concurrent identical submissions
 // dedup onto it and wait out the microseconds it takes to finish.
