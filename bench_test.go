@@ -320,6 +320,56 @@ func BenchmarkSimMemoryMiss(b *testing.B) {
 	}
 }
 
+// l2HitLoop builds a system and a 64 KB buffer, twice the direct-mapped
+// L1, loads it once so the L2 holds it, and returns a loop body that
+// loads one word every stride bytes: each line has left the L1 by the
+// time the loop returns to it, so every load misses L1 and hits L2.
+func l2HitLoop(b *testing.B, pf core.PrefetchPolicy, stride uint64) func() {
+	b.Helper()
+	s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse, Prefetch: pf})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const span = 64 << 10
+	x := s.MustAlloc(span, 0)
+	for off := uint64(0); off < span; off += 32 {
+		s.LoadF64(x + impulse.VAddr(off))
+	}
+	before := s.Snapshot()
+	for off := uint64(0); off < span; off += stride {
+		s.LoadF64(x + impulse.VAddr(off))
+	}
+	if st := s.Snapshot(); st.L2LoadHits-before.L2LoadHits != span/stride {
+		b.Fatalf("%d of %d warm loads hit L2", st.L2LoadHits-before.L2LoadHits, span/stride)
+	}
+	off := uint64(0)
+	return func() {
+		s.LoadF64(x + impulse.VAddr(off))
+		off = (off + stride) % span
+	}
+}
+
+// BenchmarkSimL2Hit measures the host cost of a simulated load that
+// misses L1 and hits L2 (one load per 32-byte line).
+func BenchmarkSimL2Hit(b *testing.B) {
+	load := l2HitLoop(b, impulse.PrefetchNone, 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
+}
+
+// BenchmarkSimL1PrefetchMiss is BenchmarkSimL2Hit with the L1 next-line
+// prefetcher on and a 64-byte stride that skips each prefetched line, so
+// every load misses L1, hits L2 and issues a prefetch that also hits L2.
+func BenchmarkSimL1PrefetchMiss(b *testing.B) {
+	load := l2HitLoop(b, impulse.PrefetchL1, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
+}
+
 // BenchmarkSimGatherLine measures the host cost of one gathered shadow
 // line (16 scattered elements through descriptor, PgTbl, and DRAM).
 func BenchmarkSimGatherLine(b *testing.B) {

@@ -109,9 +109,11 @@ func (c *Cache) SetIndex(indexAddr uint64) uint64 {
 	return (indexAddr >> c.lineShift) & c.setMask
 }
 
-func (c *Cache) set(indexAddr uint64) []line {
-	s := c.SetIndex(indexAddr)
-	return c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
+// set returns the global line index (set*ways) of the set selected by
+// indexAddr and the set's lines.
+func (c *Cache) set(indexAddr uint64) (int, []line) {
+	base := int(c.SetIndex(indexAddr) * c.cfg.Ways)
+	return base, c.lines[base : base+int(c.cfg.Ways)]
 }
 
 // LookupResult reports the outcome of a cache probe.
@@ -152,53 +154,24 @@ func (c *Cache) Lookup(indexAddr, paddr uint64) LookupResult {
 	return LookupResult{Slot: -1}
 }
 
-// FindSlot returns the global line index (set*ways+way) of the resident
-// line containing paddr, or -1. It touches no LRU or prefetch state; the
-// sim fast path uses it to remember where a line landed.
-func (c *Cache) FindSlot(indexAddr, paddr uint64) int {
-	la := c.LineAddr(paddr)
-	base := c.SetIndex(indexAddr) * c.cfg.Ways
-	for i := base; i < base+c.cfg.Ways; i++ {
-		if c.lines[i].valid && c.lines[i].lineAddr == la {
-			return int(i)
-		}
-	}
-	return -1
+// Touch applies the LRU update of a Lookup hit to slot, a global line
+// index (set*ways+way) known to hold a valid, non-prefetched line.
+func (c *Cache) Touch(slot int) {
+	c.clock++
+	c.lines[slot].lastUse = c.clock
 }
 
-// FastTouch re-validates that slot still holds the (never-prefetched)
-// line la and, if so, applies exactly the LRU update a Lookup hit would.
-// It reports false — touching no state at all — when the slot has been
-// refilled, invalidated, or holds a prefetched copy; the caller must then
-// fall back to the reference path, whose prefetch branch has additional
-// observable effects this shortcut must not replicate.
-func (c *Cache) FastTouch(slot int, la uint64) bool {
-	l := &c.lines[slot]
-	if !l.valid || l.lineAddr != la || l.prefetched {
-		return false
-	}
-	c.clock++
-	l.lastUse = c.clock
-	return true
-}
-
-// FastDirty is FastTouch plus the dirty marking a MarkDirty hit performs.
-func (c *Cache) FastDirty(slot int, la uint64) bool {
-	l := &c.lines[slot]
-	if !l.valid || l.lineAddr != la || l.prefetched {
-		return false
-	}
-	l.dirty = true
-	c.clock++
-	l.lastUse = c.clock
-	return true
-}
+// SetDirty marks slot's line dirty, as a MarkDirty hit does. On a
+// direct-mapped cache that is a MarkDirty hit's whole effect on a
+// non-prefetched line: LRU state is never read with one way per set.
+func (c *Cache) SetDirty(slot int) { c.lines[slot].dirty = true }
 
 // Contains reports whether the line containing paddr is present, without
 // touching LRU or prefetch state.
 func (c *Cache) Contains(indexAddr, paddr uint64) bool {
 	la := c.LineAddr(paddr)
-	for _, l := range c.set(indexAddr) {
+	_, set := c.set(indexAddr)
+	for _, l := range set {
 		if l.valid && l.lineAddr == la {
 			return true
 		}
@@ -218,11 +191,12 @@ func (e Eviction) PAddr(lineBytes uint64) uint64 { return e.LineAddr * lineBytes
 
 // Insert installs the line containing paddr (indexed by indexAddr),
 // choosing an invalid way or the LRU victim. It returns the eviction (if
-// any). If the line is already present it is refreshed in place (its dirty
-// bit is preserved, ORed with the new one).
-func (c *Cache) Insert(indexAddr, paddr uint64, dirty, prefetched bool) Eviction {
+// any) and the global line index (set*ways+way) of the slot the line now
+// occupies. If the line is already present it is refreshed in place (its
+// dirty bit is preserved, ORed with the new one).
+func (c *Cache) Insert(indexAddr, paddr uint64, dirty, prefetched bool) (Eviction, int) {
 	la := c.LineAddr(paddr)
-	set := c.set(indexAddr)
+	base, set := c.set(indexAddr)
 	c.clock++
 	// Refresh in place if present.
 	for i := range set {
@@ -230,7 +204,7 @@ func (c *Cache) Insert(indexAddr, paddr uint64, dirty, prefetched bool) Eviction
 			set[i].lastUse = c.clock
 			set[i].dirty = set[i].dirty || dirty
 			set[i].prefetched = set[i].prefetched && prefetched
-			return Eviction{}
+			return Eviction{}, base + i
 		}
 	}
 	// Prefer an invalid way; otherwise evict the least recently used.
@@ -244,42 +218,51 @@ func (c *Cache) Insert(indexAddr, paddr uint64, dirty, prefetched bool) Eviction
 			victim = i
 		}
 	}
-	ev := Eviction{Valid: set[victim].valid, Dirty: set[victim].valid && set[victim].dirty, LineAddr: set[victim].lineAddr}
-	set[victim] = line{lineAddr: la, lastUse: c.clock, valid: true, dirty: dirty, prefetched: prefetched}
-	return ev
+	l := &set[victim]
+	ev := Eviction{Valid: l.valid, Dirty: l.valid && l.dirty, LineAddr: l.lineAddr}
+	// Field by field: a composite literal is built on the stack and
+	// copied out, and the CPU cannot forward those narrow stores into the
+	// wide load of the copy.
+	l.lineAddr = la
+	l.lastUse = c.clock
+	l.valid = true
+	l.dirty = dirty
+	l.prefetched = prefetched
+	return ev, base + victim
 }
 
-// MarkDirty marks the line containing paddr dirty (store hit). It reports
-// whether the line was present.
-func (c *Cache) MarkDirty(indexAddr, paddr uint64) bool {
+// MarkDirty marks the line containing paddr dirty (store hit). It returns
+// the global line index of the line's slot, or -1 if it was absent.
+func (c *Cache) MarkDirty(indexAddr, paddr uint64) int {
 	la := c.LineAddr(paddr)
-	set := c.set(indexAddr)
+	base, set := c.set(indexAddr)
 	for i := range set {
 		if set[i].valid && set[i].lineAddr == la {
 			set[i].dirty = true
 			c.clock++
 			set[i].lastUse = c.clock
 			set[i].prefetched = false
-			return true
+			return base + i
 		}
 	}
-	return false
+	return -1
 }
 
 // FlushLine removes the line containing paddr (indexed by indexAddr) and
-// reports (present, wasDirty). A flush writes dirty data back (the caller
-// accounts for the traffic); the line becomes invalid either way.
-func (c *Cache) FlushLine(indexAddr, paddr uint64) (present, dirty bool) {
+// reports the global line index of the slot it left (-1 if the line was
+// absent) and whether it was dirty. A flush writes dirty data back (the
+// caller accounts for the traffic); the line becomes invalid either way.
+func (c *Cache) FlushLine(indexAddr, paddr uint64) (slot int, dirty bool) {
 	la := c.LineAddr(paddr)
-	set := c.set(indexAddr)
+	base, set := c.set(indexAddr)
 	for i := range set {
 		if set[i].valid && set[i].lineAddr == la {
 			d := set[i].dirty
 			set[i] = line{}
-			return true, d
+			return base + i, d
 		}
 	}
-	return false, false
+	return -1, false
 }
 
 // FlushAll invalidates every line, invoking fn for each valid line with

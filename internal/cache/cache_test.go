@@ -69,9 +69,12 @@ func TestDirectMappedConflict(t *testing.T) {
 	sz := L1Default().Bytes
 	c.Insert(0x40, 0x40, false, false)
 	// Same index, different tag: must evict.
-	ev := c.Insert(0x40+sz, 0x40+sz, false, false)
+	ev, slot := c.Insert(0x40+sz, 0x40+sz, false, false)
 	if !ev.Valid || ev.LineAddr != 0x40/32 {
 		t.Errorf("eviction = %+v", ev)
+	}
+	if slot != 0x40/32 {
+		t.Errorf("Insert reported slot %d, want %d", slot, 0x40/32)
 	}
 	if c.Lookup(0x40, 0x40).Hit {
 		t.Error("conflicting line still present")
@@ -89,9 +92,12 @@ func TestTwoWayLRU(t *testing.T) {
 	c.Insert(a, a, false, false)
 	c.Insert(b, b, false, false)
 	c.Lookup(a, a) // a most recently used
-	ev := c.Insert(d, d, false, false)
+	ev, slot := c.Insert(d, d, false, false)
 	if !ev.Valid || ev.LineAddr != b/64 {
 		t.Errorf("LRU victim = %+v, want line %d", ev, b/64)
+	}
+	if slot != 1 { // set 0, b's way
+		t.Errorf("Insert reported slot %d, want 1", slot)
 	}
 	if !c.Lookup(a, a).Hit || !c.Lookup(d, d).Hit || c.Lookup(b, b).Hit {
 		t.Error("LRU state wrong after eviction")
@@ -101,35 +107,35 @@ func TestTwoWayLRU(t *testing.T) {
 func TestDirtyEvictionAndFlush(t *testing.T) {
 	c := mustNew(t, L1Default())
 	c.Insert(0x80, 0x80, false, false)
-	if !c.MarkDirty(0x80, 0x80) {
-		t.Fatal("MarkDirty missed present line")
+	if slot := c.MarkDirty(0x80, 0x80); slot != 0x80/32 {
+		t.Fatalf("MarkDirty of present line = slot %d, want %d", slot, 0x80/32)
 	}
-	if c.MarkDirty(0xFFFF80, 0xFFFF80) {
+	if c.MarkDirty(0xFFFF80, 0xFFFF80) >= 0 {
 		t.Fatal("MarkDirty hit absent line")
 	}
 	sz := L1Default().Bytes
-	ev := c.Insert(0x80+sz, 0x80+sz, false, false)
+	ev, _ := c.Insert(0x80+sz, 0x80+sz, false, false)
 	if !ev.Dirty {
 		t.Error("dirty victim not reported dirty")
 	}
 	c.Insert(0x80, 0x80, true, false)
-	present, dirty := c.FlushLine(0x80, 0x80)
-	if !present || !dirty {
-		t.Errorf("FlushLine = (%v, %v)", present, dirty)
+	slot, dirty := c.FlushLine(0x80, 0x80)
+	if slot != 0x80/32 || !dirty {
+		t.Errorf("FlushLine = (%v, %v), want (%d, true)", slot, dirty, 0x80/32)
 	}
 	if c.Lookup(0x80, 0x80).Hit {
 		t.Error("line present after flush")
 	}
-	present, _ = c.FlushLine(0x80, 0x80)
-	if present {
-		t.Error("flush of absent line reported present")
+	slot, _ = c.FlushLine(0x80, 0x80)
+	if slot >= 0 {
+		t.Error("flush of absent line reported a slot")
 	}
 }
 
 func TestInsertRefreshPreservesDirty(t *testing.T) {
 	c := mustNew(t, L2Default())
 	c.Insert(0x100, 0x100, true, false)
-	ev := c.Insert(0x100, 0x100, false, false)
+	ev, _ := c.Insert(0x100, 0x100, false, false)
 	if ev.Valid {
 		t.Error("refresh evicted something")
 	}
@@ -199,7 +205,7 @@ func TestContainsDoesNotTouchState(t *testing.T) {
 		t.Fatal("Contains missed present line")
 	}
 	// Contains must not refresh a's LRU position: a is still the victim.
-	ev := c.Insert(d, d, false, false)
+	ev, _ := c.Insert(d, d, false, false)
 	if ev.LineAddr != a/64 {
 		t.Errorf("Contains disturbed LRU: victim %+v", ev)
 	}

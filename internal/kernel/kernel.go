@@ -41,8 +41,11 @@ type Kernel struct {
 	frames      uint64
 
 	// Processes. Process 0 exists from boot and is current initially.
+	// curp is procs[cur], kept beside it so a translation does not pay
+	// a map lookup for the current address space.
 	procs   map[int]*procState
 	cur     int
+	curp    *procState
 	nextPid int
 	vBase   uint64 // first user virtual address for new processes
 
@@ -63,7 +66,7 @@ type Kernel struct {
 
 // procState is one process's address space.
 type procState struct {
-	pt    map[uint64]uint64 // virtual page number -> frame (or shadow page)
+	pt    bitutil.Table[uint64] // virtual page number -> frame (or shadow page)
 	vNext uint64
 }
 
@@ -118,13 +121,14 @@ func New(cfg Config) (*Kernel, error) {
 		allocated: make(map[uint64]int),
 		frames:    cfg.Layout.DRAMFrames(),
 		colorSeed: 0x9E3779B97F4A7C15,
-		procs:     map[int]*procState{0: {pt: make(map[uint64]uint64), vNext: cfg.VBase}},
+		procs:     map[int]*procState{0: {vNext: cfg.VBase}},
 		vBase:     cfg.VBase,
 		cur:       0,
 		nextPid:   1,
 		shNext:    cfg.Layout.ShadowBase,
 		shTop:     cfg.Layout.ShadowBase + cfg.Layout.ShadowBytes,
 	}
+	k.curp = k.procs[0]
 	if r, ok := freePool.Get().(*freeResources); ok &&
 		uint64(cap(r.store)) >= k.frames && uint64(cap(r.lists)) >= k.numColors {
 		k.frameStore = r.store[:k.frames]
@@ -167,7 +171,7 @@ func (k *Kernel) Release() {
 }
 
 // p returns the current process's state.
-func (k *Kernel) p() *procState { return k.procs[k.cur] }
+func (k *Kernel) p() *procState { return k.curp }
 
 // Layout returns the bus-address-space layout.
 func (k *Kernel) Layout() addr.Layout { return k.layout }
@@ -291,22 +295,22 @@ func (k *Kernel) MapPage(vpage, frame uint64) error {
 		return fmt.Errorf("kernel: process %d cannot map frame %d (owner %d, allocated %v)",
 			k.cur, frame, owner, ok)
 	}
-	if old, ok := k.p().pt[vpage]; ok {
+	if old, ok := k.p().pt.Get(vpage); ok {
 		return fmt.Errorf("kernel: virtual page %#x already mapped to frame %d", vpage, old)
 	}
 	k.invalidateLT()
-	k.p().pt[vpage] = frame
+	k.p().pt.Put(vpage, frame)
 	return nil
 }
 
 // RemapPage replaces an existing mapping (used by recoloring and tile
 // remapping, which move a virtual page onto a new frame or shadow page).
 func (k *Kernel) RemapPage(vpage, frame uint64) error {
-	if _, ok := k.p().pt[vpage]; !ok {
+	if _, ok := k.p().pt.Get(vpage); !ok {
 		return fmt.Errorf("kernel: virtual page %#x not mapped", vpage)
 	}
 	k.invalidateLT()
-	k.p().pt[vpage] = frame
+	k.p().pt.Put(vpage, frame)
 	return nil
 }
 
@@ -321,13 +325,13 @@ func (k *Kernel) MapShadowPage(vpage uint64, shadow addr.PAddr) error {
 		return err
 	}
 	k.invalidateLT()
-	k.p().pt[vpage] = shadow.PageNum()
+	k.p().pt.Put(vpage, shadow.PageNum())
 	return nil
 }
 
 // RemapToShadow rewrites an existing virtual page mapping to a shadow page.
 func (k *Kernel) RemapToShadow(vpage uint64, shadow addr.PAddr) error {
-	if _, ok := k.p().pt[vpage]; !ok {
+	if _, ok := k.p().pt.Get(vpage); !ok {
 		return fmt.Errorf("kernel: virtual page %#x not mapped", vpage)
 	}
 	if !k.layout.IsShadow(shadow) {
@@ -337,7 +341,7 @@ func (k *Kernel) RemapToShadow(vpage uint64, shadow addr.PAddr) error {
 		return err
 	}
 	k.invalidateLT()
-	k.p().pt[vpage] = shadow.PageNum()
+	k.p().pt.Put(vpage, shadow.PageNum())
 	return nil
 }
 
@@ -347,7 +351,7 @@ func (k *Kernel) Translate(v addr.VAddr) (addr.PAddr, bool) {
 	if k.ltOK && k.ltPage == page {
 		return addr.PAddr(k.ltFrame<<addr.PageShift | v.PageOff()), true
 	}
-	f, ok := k.p().pt[page]
+	f, ok := k.p().pt.Get(page)
 	if !ok {
 		return 0, false
 	}
@@ -361,8 +365,7 @@ func (k *Kernel) invalidateLT() { k.ltOK = false }
 
 // TranslatePage returns the frame (or shadow page) number mapped at vpage.
 func (k *Kernel) TranslatePage(vpage uint64) (uint64, bool) {
-	f, ok := k.p().pt[vpage]
-	return f, ok
+	return k.p().pt.Get(vpage)
 }
 
 // AllocAndMap allocates `bytes` of virtual space backed by freshly
@@ -462,7 +465,7 @@ func (k *Kernel) FramesOf(va addr.VAddr, bytes uint64) ([]uint64, error) {
 	last := (uint64(va) + bytes - 1) >> addr.PageShift
 	out := make([]uint64, 0, last-first+1)
 	for p := first; p <= last; p++ {
-		f, ok := k.p().pt[p]
+		f, ok := k.p().pt.Get(p)
 		if !ok {
 			return nil, fmt.Errorf("kernel: page %#x unmapped", p)
 		}
@@ -480,7 +483,7 @@ func (k *Kernel) FramesOf(va addr.VAddr, bytes uint64) ([]uint64, error) {
 func (k *Kernel) CreateProcess() int {
 	pid := k.nextPid
 	k.nextPid++
-	k.procs[pid] = &procState{pt: make(map[uint64]uint64), vNext: k.vBase}
+	k.procs[pid] = &procState{vNext: k.vBase}
 	return pid
 }
 
@@ -488,11 +491,13 @@ func (k *Kernel) CreateProcess() int {
 // layer) is responsible for charging the context-switch cost and
 // flushing the processor TLB.
 func (k *Kernel) SwitchProcess(pid int) error {
-	if _, ok := k.procs[pid]; !ok {
+	ps, ok := k.procs[pid]
+	if !ok {
 		return fmt.Errorf("kernel: no process %d", pid)
 	}
 	k.invalidateLT()
 	k.cur = pid
+	k.curp = ps
 	return nil
 }
 

@@ -125,7 +125,7 @@ type Controller struct {
 	lineMask  uint64
 
 	pgtlb   *tlb.TLB
-	backing pvMap // pvpage -> frame (contents live in DRAM at PgTblBase)
+	backing bitutil.Table[uint64] // pvpage -> frame (contents live in DRAM at PgTblBase)
 
 	sram     []bufEntry
 	sramNext int
@@ -180,7 +180,6 @@ func New(cfg Config, d *dram.DRAM, mem *membuf.Memory, st *stats.MemStats) (*Con
 		pgtlb:     tlb.New(cfg.PgTblEntries),
 		sram:      make([]bufEntry, cfg.SRAMBytes/cfg.LineBytes),
 	}
-	c.backing.init()
 	for i := range c.descs {
 		c.descs[i].buf = make([]bufEntry, cfg.DescBufBytes/cfg.LineBytes)
 		c.descs[i].vecLines = make([]uint64, 2)
@@ -286,7 +285,7 @@ func overlaps(a, b *Descriptor) bool {
 // (§2.1 step 4: "The OS downloads to the memory controller a set of page
 // mappings for pseudo-virtual space").
 func (c *Controller) MapPV(pvpage, frame uint64) {
-	c.backing.put(pvpage, frame)
+	c.backing.Put(pvpage, frame)
 	c.pgtlb.Invalidate(pvpage)
 	c.remapped()
 }
@@ -389,7 +388,7 @@ func (c *Controller) resolve(dst []Run, ds *descState, p addr.PAddr, n uint64) (
 		// A piece may cross pseudo-virtual pages.
 		pv, remain := pc.pv, pc.bytes
 		for remain > 0 {
-			frame, ok := c.backing.get(pv.PageNum())
+			frame, ok := c.backing.Get(pv.PageNum())
 			if !ok {
 				return nil, fmt.Errorf("mc: pseudo-virtual page %#x unmapped", pv.PageNum())
 			}
@@ -411,7 +410,7 @@ func (c *Controller) resolve(dst []Run, ds *descState, p addr.PAddr, n uint64) (
 func (c *Controller) makeVecFn(ds *descState) func(i uint64) uint32 {
 	return func(i uint64) uint32 {
 		pv := ds.d.VecPV + addr.PVAddr(4*i)
-		frame, ok := c.backing.get(pv.PageNum())
+		frame, ok := c.backing.Get(pv.PageNum())
 		if !ok {
 			panic(fmt.Sprintf("mc: indirection vector page %#x unmapped", pv.PageNum()))
 		}

@@ -281,7 +281,7 @@ func (c *Controller) translatePV(at timeline.Time, pvpage uint64) (timeline.Time
 	if frame, ok := c.pgtlb.Lookup(pvpage); ok {
 		return at, frame, nil
 	}
-	frame, ok := c.backing.get(pvpage)
+	frame, ok := c.backing.Get(pvpage)
 	if !ok {
 		return 0, 0, fmt.Errorf("mc: pseudo-virtual page %#x unmapped", pvpage)
 	}

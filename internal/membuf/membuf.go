@@ -11,7 +11,6 @@ package membuf
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync"
 
@@ -66,23 +65,38 @@ func (m *Memory) Frames() uint64 { return uint64(len(m.frames)) }
 // memory (touched at least once).
 func (m *Memory) AllocatedFrames() uint64 { return m.allocated }
 
+// frame returns the host page backing p, allocating it on first touch.
+// The hit path is kept small enough to inline into every access; an
+// address beyond installed DRAM fails its index check.
 func (m *Memory) frame(p addr.PAddr) *[addr.PageSize]byte {
-	n := p.PageNum()
-	if n >= uint64(len(m.frames)) {
-		panic(fmt.Sprintf("membuf: access to %v beyond installed DRAM (%d frames)", p, len(m.frames)))
+	n := uint64(p) >> addr.PageShift
+	if m.frames[n] == nil {
+		m.touch(n)
 	}
-	f := m.frames[n]
-	if f == nil {
-		if pg, ok := pagePool.Get().(*[addr.PageSize]byte); ok {
-			*pg = [addr.PageSize]byte{} // zero-on-first-touch semantics
-			f = pg
-		} else {
-			f = new([addr.PageSize]byte)
-		}
-		m.frames[n] = f
-		m.allocated++
+	return m.frames[n]
+}
+
+// touch backs frame n on its first access.
+func (m *Memory) touch(n uint64) {
+	f, ok := pagePool.Get().(*[addr.PageSize]byte)
+	if ok {
+		*f = [addr.PageSize]byte{} // zero-on-first-touch semantics
+	} else {
+		f = new([addr.PageSize]byte)
 	}
-	return f
+	m.frames[n] = f
+	m.allocated++
+}
+
+// Page returns the host page that holds the bytes of p's page, or nil if
+// that page has never been touched or lies beyond installed DRAM. It
+// allocates nothing. The page stays put until Release, so a caller may
+// keep it and move data through it directly.
+func (m *Memory) Page(p addr.PAddr) *[addr.PageSize]byte {
+	if n := p.PageNum(); n < uint64(len(m.frames)) {
+		return m.frames[n]
+	}
+	return nil
 }
 
 // Load8 reads one byte at p.

@@ -1,11 +1,9 @@
-// The access fast path: a direct-mapped cache of recently-hit L1 lines
-// that lets a repeat access to the same resident line skip the block-TLB
-// scan, the TLB lookup, and the set-associative L1 probe entirely.
-// Unit-stride loops touch the same 32-byte L1 line 4-8 times in a row,
-// so this is where most simulated accesses go. The table is sized at 4x
-// the L1 line count (next power of two), large enough to remember every
-// resident line with rare conflict evictions, so interleaved streams —
-// the CG inner loops run three-plus at once — all stay fast.
+// The access fast path: a table with exactly one entry per L1 slot,
+// indexed the way the L1 is indexed, that lets a repeat access to a
+// resident line skip the block-TLB scan, the TLB lookup, the L1 probe and
+// the memory model's page lookup. Unit-stride loops touch the same
+// 32-byte L1 line 4-8 times in a row, so this is where most simulated
+// accesses go. A committed hit reads one entry and calls nothing.
 //
 // The fast path is cycle- and counter-identical to the reference path by
 // construction, which rests on three invariants:
@@ -33,22 +31,38 @@
 //     across a block-entry boundary), so one cached base serves every
 //     element in the line.
 //
-//  2. Residency re-validation. Instead of hooking every L1 insert, evict,
-//     and flush, each fast access re-checks its remembered L1 slot: the
-//     slot must still be valid, hold the same physical line, and not be a
-//     prefetched copy (cache.FastTouch/FastDirty). A line that was
-//     evicted, refilled elsewhere, or re-entered via prefetch fails the
-//     check and falls back to the reference path — which *is* the
-//     reference behaviour for those cases (the prefetch-hit branch has
-//     extra observable effects: L1PrefetchHits, inflight stalls, chained
-//     prefetch).
+//  2. Slot ownership. Entry i only ever describes the line in L1 slot i:
+//     the table is indexed by the virtual line's set, as the virtually
+//     indexed L1 is, and an entry is populated only from the slot a
+//     reference hit, store hit or fill reported, while that slot holds
+//     the entry's line as a demanded (not prefetched) copy. Every change
+//     of a slot's line kills the slot's entry: a demand fill (fillL1), a
+//     prefetch fill (maybeL1Prefetch), a line flush or purge
+//     (cacheMaint), and FlushAll, through a generation bump, in
+//     ResetCachesUntimed and FlushAllCaches. A live entry therefore
+//     stands for a reference L1 hit that is not a prefetch hit — whose
+//     extra observable effects (L1PrefetchHits, in-flight stalls, the
+//     chained prefetch) the shortcut must not replicate — without reading
+//     the L1 record. A load hit on a direct-mapped L1 reads nothing of it,
+//     because that L1's LRU state is never read; a store sets the slot's
+//     dirty bit. With more than one way the table probes the entries of
+//     the set and applies Lookup's LRU update to the slot it hits.
 //
 //  3. Effect replication. A committed fast access performs exactly the
 //     observable work of the reference L1-hit path, in an order that only
 //     permutes independent effects: Loads/Stores counters (done by the
 //     caller before dispatch), functional data movement, the L1 LRU
-//     touch, hit counters, latency accounting and clock advance, trace
-//     and observability events.
+//     touch or dirty bit, hit counters, latency accounting and clock
+//     advance, trace and observability events. A load's accounting is
+//     applied inline from a latency and histogram bucket New precomputes,
+//     and its data moves through the host page the entry keeps, so the
+//     hit makes no call.
+//
+// The entry's host page is the membuf page that backs the line's data.
+// It is nil when the line's bytes straddle a page boundary, which a
+// misaligned shadow base can cause; such a line, and an access that runs
+// past the end of its line, moves its data through Mem as readValue and
+// writeValue do.
 //
 // Shadow (remapped) lines enter the table only when the controller maps
 // the whole L1 line, through a Direct or Strided descriptor, onto one
@@ -65,13 +79,21 @@
 // Controller-buffer interactions happen only on fills, which run the
 // reference path in every case.
 //
-// Config.DisableFastPath forces every access through the reference path;
-// the differential tests compare the two end to end. Because a fall from
-// the fast path is exactly the reference path, any conflict eviction or
-// generation kill only changes host speed, never a simulated result.
+// A physically indexed L1 (cache.Config.VirtualIndex false) runs the
+// reference path, as Config.DisableFastPath does: slot ownership needs
+// the table to be indexed as the L1 is. Nothing builds one: every
+// sim.Config in the tree uses cache.L1Default(), which is virtually
+// indexed. Config.DisableFastPath forces every access through the
+// reference path; the differential tests compare the two end to end.
+// Because a fall from the fast path is exactly the reference path, a
+// killed entry only changes host speed, never a simulated result.
 package sim
 
-import "impulse/internal/addr"
+import (
+	"encoding/binary"
+
+	"impulse/internal/addr"
+)
 
 // fastPageWays is the page-translation memo capacity (see the memo's
 // field comment in machine.go).
@@ -81,23 +103,21 @@ const fastPageWays = 4
 // real virtual line is all-ones).
 const fastInvalid = ^uint64(0)
 
-// fastEntry caches one line-hit: the virtual line identity, its bus-line
-// base, the physical base holding the line's data, where in the L1 the
-// line sat, and the generation stamp it is live under. The L1 tag used
-// for slot re-validation is pbase's line number, computed rather than
-// stored so the entry stays 32 bytes.
+// fastEntry describes the line in one L1 slot: its virtual line, the bus
+// line that translates to, the physical base holding the line's data and
+// the host page behind that base, and the generation it is live under.
 type fastEntry struct {
-	vline uint64 // line-aligned virtual address (identity; fastInvalid = empty)
-	pbase uint64 // line-aligned bus address vline translates to (the L1 tag)
-	dbase uint64 // physical address of the line's first byte; != pbase iff shadow
-	slot  int32  // global L1 slot index the line occupied when cached
-	gen   uint32 // liveness stamp; dead unless equal to fastVecGen
+	vline uint64               // line-aligned virtual address (identity; fastInvalid = empty)
+	pbase uint64               // line-aligned bus address vline translates to (the L1 tag)
+	dbase uint64               // physical address of the line's first byte; != pbase iff shadow
+	page  *[addr.PageSize]byte // host page holding the line's bytes; nil if they straddle pages
+	gen   uint32               // liveness stamp; dead unless equal to fastVecGen
 }
 
 // fastInvalidateAll kills every fast-path entry and the page-translation
 // memo. Called whenever translation or shadow resolution may have
-// changed (see invariant 1 above); the controller calls it through its
-// remap hook.
+// changed (see invariant 1 above) and when the whole L1 is emptied; the
+// controller calls it through its remap hook.
 func (m *Machine) fastInvalidateAll() {
 	m.fastInvalidations++
 	m.fastVecGen++
@@ -111,12 +131,21 @@ func (m *Machine) fastInvalidateAll() {
 	}
 }
 
-// fastPopulate remembers a line-hit for the fast path. slot is the L1
-// slot the line occupies (-1 = unknown, skip). Population is the only
-// place the entry invariants are established; the per-access checks in
-// fastLoad/fastStore only re-validate residency.
+// fastKill kills the entry of an L1 slot whose line changed (invariant 2).
+// slot < 0 means no slot changed.
+func (m *Machine) fastKill(slot int) {
+	if m.fastOn && slot >= 0 {
+		m.fastVec[slot].vline = fastInvalid
+	}
+}
+
+// fastPopulate makes slot's entry describe the line containing v, which
+// translated to p and which slot holds as a demanded copy. Population is
+// the only place the entry invariants are established. A line the table
+// cannot serve leaves the entry as it is: the slot's fill killed it, and
+// on a hit the slot's line did not change.
 func (m *Machine) fastPopulate(v addr.VAddr, p addr.PAddr, slot int) {
-	if !m.fastOn || slot < 0 {
+	if !m.fastOn {
 		return
 	}
 	off := uint64(v) & m.l1LineMask
@@ -146,13 +175,29 @@ func (m *Machine) fastPopulate(v addr.VAddr, p addr.PAddr, slot int) {
 		}
 		dbase = uint64(d)
 	}
-	m.fastVec[(vline>>m.fastVecShift)&m.fastVecMask] = fastEntry{
-		vline: vline,
-		pbase: pbase,
-		dbase: dbase,
-		slot:  int32(slot),
-		gen:   m.fastVecGen,
+	var page *[addr.PageSize]byte
+	if dbase&addr.PageMask+m.cfg.L1.LineBytes <= addr.PageSize {
+		page = m.Mem.Page(addr.PAddr(dbase))
 	}
+	// Field by field, not a composite literal (see cache.Insert).
+	e := &m.fastVec[slot]
+	e.vline = vline
+	e.pbase = pbase
+	e.dbase = dbase
+	e.page = page
+	e.gen = m.fastVecGen
+}
+
+// fastWay returns the slot of set's live entry for vline on an L1 with
+// more than one way, or -1.
+func (m *Machine) fastWay(vline, set uint64) int {
+	base := set * m.fastWays
+	for i := base; i < base+m.fastWays; i++ {
+		if e := &m.fastVec[i]; e.vline == vline && e.gen == m.fastVecGen {
+			return int(i)
+		}
+	}
+	return -1
 }
 
 // fastLoad attempts the load fast path. On a committed hit it performs
@@ -160,42 +205,65 @@ func (m *Machine) fastPopulate(v addr.VAddr, p addr.PAddr, slot int) {
 // reports (value, true); otherwise it reports false having touched
 // nothing, and the caller runs the reference path.
 func (m *Machine) fastLoad(v addr.VAddr, size uint64) (uint64, bool) {
-	if !m.fastOn {
-		return 0, false
-	}
 	vline := uint64(v) &^ m.l1LineMask
-	e := &m.fastVec[(vline>>m.fastVecShift)&m.fastVecMask]
+	slot := (vline >> m.fastVecShift) & m.fastSetMask
+	if m.fastWays > 1 {
+		i := m.fastWay(vline, slot)
+		if i < 0 {
+			return 0, false
+		}
+		slot = uint64(i)
+	}
+	e := &m.fastVec[slot]
 	if e.vline != vline || e.gen != m.fastVecGen {
 		return 0, false
 	}
 	off := uint64(v) & m.l1LineMask
-	shadow := e.dbase != e.pbase
-	if shadow && off+size > m.cfg.L1.LineBytes {
+	inLine := off+size <= m.l1LineMask+1
+	if !inLine && e.dbase != e.pbase {
 		return 0, false // spills into the next shadow line, which resolves on its own
 	}
-	if !m.L1.FastTouch(int(e.slot), e.pbase>>m.fastVecShift) {
-		e.vline = fastInvalid
-		return 0, false
+	if m.fastWays > 1 {
+		m.L1.Touch(int(slot))
 	}
-	start := m.clock
 	// readValue minus the shadow dispatch: the controller resolves this
 	// line to dbase onward. A shadow line's dbase need not be
 	// line-aligned, so the offset is added, not or-ed in.
 	var value uint64
-	d := addr.PAddr(e.dbase + off)
-	if size == 8 {
+	if inLine && e.page != nil {
+		b := e.page[e.dbase&addr.PageMask+off:]
+		if size == 8 {
+			value = binary.LittleEndian.Uint64(b)
+		} else {
+			value = uint64(binary.LittleEndian.Uint32(b))
+		}
+	} else if d := addr.PAddr(e.dbase + off); size == 8 {
 		value = m.Mem.Load64(d)
 	} else {
 		value = uint64(m.Mem.Load32(d))
 	}
-	m.St.L1LoadHits++
-	m.finishLoad(start, start+m.cfg.L1.HitCycles)
+	// finishLoad and LoadLatency.Observe for the precomputed L1 hit
+	// latency.
+	st := m.St
+	start := m.clock
+	lat := m.l1HitLat
+	st.L1LoadHits++
+	st.LoadCycles += lat
+	h := &st.LoadLatency
+	h.Buckets[m.l1HitBucket]++
+	h.Count++
+	h.Total += lat
+	if lat > h.Max {
+		h.Max = lat
+	}
+	st.Instructions++
+	m.clock = start + lat
 	if m.tracer != nil {
 		m.traceLoad(v, addr.PAddr(e.pbase|off), size, start, LevelL1)
 	}
 	if m.obs != nil {
 		m.obsLoad(start, LevelL1)
-		m.countFastHit(shadow)
+		m.countFastHit(e.dbase != e.pbase)
 	}
 	return value, true
 }
@@ -214,34 +282,45 @@ func (m *Machine) countFastHit(shadow bool) {
 // fastStore attempts the store fast path (the L1 MarkDirty-hit branch of
 // the reference store). Reports whether it committed.
 func (m *Machine) fastStore(v addr.VAddr, size, val uint64) bool {
-	if !m.fastOn {
-		return false
-	}
 	vline := uint64(v) &^ m.l1LineMask
-	e := &m.fastVec[(vline>>m.fastVecShift)&m.fastVecMask]
+	slot := (vline >> m.fastVecShift) & m.fastSetMask
+	if m.fastWays > 1 {
+		i := m.fastWay(vline, slot)
+		if i < 0 {
+			return false
+		}
+		slot = uint64(i)
+	}
+	e := &m.fastVec[slot]
 	if e.vline != vline || e.gen != m.fastVecGen {
 		return false
 	}
 	off := uint64(v) & m.l1LineMask
-	shadow := e.dbase != e.pbase
-	if shadow && off+size > m.cfg.L1.LineBytes {
+	inLine := off+size <= m.l1LineMask+1
+	if !inLine && e.dbase != e.pbase {
 		return false // spills into the next shadow line (see fastLoad)
 	}
-	if !m.L1.FastDirty(int(e.slot), e.pbase>>m.fastVecShift) {
-		e.vline = fastInvalid
-		return false
+	if m.fastWays > 1 {
+		m.L1.Touch(int(slot))
 	}
-	start := m.clock
+	m.L1.SetDirty(int(slot))
 	// writeValue minus the shadow dispatch (see fastLoad).
-	d := addr.PAddr(e.dbase + off)
-	if size == 8 {
+	if inLine && e.page != nil {
+		b := e.page[e.dbase&addr.PageMask+off:]
+		if size == 8 {
+			binary.LittleEndian.PutUint64(b, val)
+		} else {
+			binary.LittleEndian.PutUint32(b, uint32(val))
+		}
+	} else if d := addr.PAddr(e.dbase + off); size == 8 {
 		m.Mem.Store64(d, val)
 	} else {
 		m.Mem.Store32(d, uint32(val))
 	}
+	start := m.clock
 	m.St.L1StoreHits++
 	m.St.Instructions++
-	done := m.clock + 1
+	done := start + 1
 	if lim := m.cfg.StoreBacklogCycles; lim > 0 {
 		if bu := m.Bus.BusyUntil(); bu > done+lim {
 			done = bu - lim
@@ -251,10 +330,10 @@ func (m *Machine) fastStore(v addr.VAddr, size, val uint64) bool {
 	m.clock = done
 	if m.tracer != nil {
 		m.trace(TraceEvent{Cycle: start, Kind: TraceStore, VAddr: v, PAddr: addr.PAddr(e.pbase | off),
-			Size: size, Shadow: shadow})
+			Size: size, Shadow: e.dbase != e.pbase})
 	}
 	if m.obs != nil {
-		m.countFastHit(shadow)
+		m.countFastHit(e.dbase != e.pbase)
 	}
 	return true
 }

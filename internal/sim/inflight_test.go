@@ -4,16 +4,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"impulse/internal/bitutil"
 	"impulse/internal/timeline"
 )
 
-// TestInflightTableVsMap drives the open-addressed table and a plain map
-// through the same randomized put/get/del sequence (keys line-aligned,
-// like the real caller) and checks they agree at every step.
+// TestInflightTableVsMap drives the in-flight prefetch table's type and
+// a plain map through the same randomized put/get/del sequence (keys
+// line-aligned, like the real caller) and checks they agree at every
+// step.
 func TestInflightTableVsMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var tab inflightTable
-	tab.init()
+	var tab bitutil.Table[timeline.Time]
 	ref := map[uint64]timeline.Time{}
 	keys := make([]uint64, 0, 4096)
 
@@ -22,7 +23,7 @@ func TestInflightTableVsMap(t *testing.T) {
 		case 0: // put (possibly overwriting)
 			k := uint64(rng.Intn(1<<14)) << 5 // line-aligned, collision-rich
 			v := timeline.Time(rng.Uint64())
-			tab.put(k, v)
+			tab.Put(k, v)
 			if _, ok := ref[k]; !ok {
 				keys = append(keys, k)
 			}
@@ -32,7 +33,7 @@ func TestInflightTableVsMap(t *testing.T) {
 			if rng.Intn(2) == 0 && len(keys) > 0 {
 				k = keys[rng.Intn(len(keys))]
 			}
-			gv, gok := tab.get(k)
+			gv, gok := tab.Get(k)
 			wv, wok := ref[k]
 			if gok != wok || (gok && gv != wv) {
 				t.Fatalf("op %d: get(%#x) = %v,%v want %v,%v", op, k, gv, gok, wv, wok)
@@ -45,26 +46,26 @@ func TestInflightTableVsMap(t *testing.T) {
 				keys[i] = keys[len(keys)-1]
 				keys = keys[:len(keys)-1]
 			}
-			tab.del(k)
+			tab.Delete(k)
 			delete(ref, k)
 		}
-		if tab.n != len(ref) {
-			t.Fatalf("op %d: size %d != %d", op, tab.n, len(ref))
+		if tab.Len() != len(ref) {
+			t.Fatalf("op %d: size %d != %d", op, tab.Len(), len(ref))
 		}
 	}
 
 	// Full sweep: everything the map holds must be in the table.
 	for k, v := range ref {
-		if gv, ok := tab.get(k); !ok || gv != v {
+		if gv, ok := tab.Get(k); !ok || gv != v {
 			t.Fatalf("final: get(%#x) = %v,%v want %v,true", k, gv, ok, v)
 		}
 	}
-	tab.reset()
-	if tab.n != 0 {
-		t.Fatalf("reset left n=%d", tab.n)
+	tab.Reset()
+	if tab.Len() != 0 {
+		t.Fatalf("reset left n=%d", tab.Len())
 	}
 	for k := range ref {
-		if _, ok := tab.get(k); ok {
+		if _, ok := tab.Get(k); ok {
 			t.Fatalf("reset left key %#x", k)
 		}
 	}

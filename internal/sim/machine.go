@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"impulse/internal/addr"
+	"impulse/internal/bitutil"
 	"impulse/internal/bus"
 	"impulse/internal/cache"
 	"impulse/internal/dram"
@@ -39,7 +40,7 @@ type Machine struct {
 	// inflight tracks L1 prefetches whose data has not yet arrived:
 	// L1 line address -> arrival time. A demand hit on such a line stalls
 	// until arrival (a "partial hit").
-	inflight inflightTable
+	inflight bitutil.Table[timeline.Time]
 
 	// blockTLB holds superpage-style block translations that never miss
 	// (the paper's machine maps the kernel this way; Impulse superpages
@@ -53,27 +54,36 @@ type Machine struct {
 	blockHot      int
 	blockDisjoint bool
 
-	// fastVec is the direct-mapped line-hit table backing the access
-	// fast path (see fastpath.go): a vline-indexed table large enough to
-	// remember every resident L1 line, populated on reference L1 hits,
-	// invalidated by generation bump on any translation-state change,
-	// and re-validated on every use via cache.FastTouch/FastDirty. Nil
-	// when the fast path is disabled; fastOn mirrors
-	// !cfg.DisableFastPath.
+	// fastVec is the table backing the access fast path (see
+	// fastpath.go): one entry per L1 slot, set-major like the L1's own
+	// lines and indexed by the virtual line's set, populated from the
+	// slot a reference hit or fill reports, killed when that slot's line
+	// changes, and invalidated by generation bump on any
+	// translation-state change. Nil when the fast path is off; fastOn
+	// mirrors !cfg.DisableFastPath on a virtually indexed L1.
 	fastVec      []fastEntry
-	fastVecMask  uint64
+	fastSetMask  uint64 // L1 sets - 1
+	fastWays     uint64 // L1 ways
 	fastVecGen   uint32
 	fastVecShift uint8 // log2 of the L1 line size
 	fastOn       bool
 
+	// l1HitLat is the latency a load hit in L1 observes (finishLoad
+	// charges at least one cycle) and l1HitBucket its LoadLatency
+	// bucket, precomputed so the fast path accounts a hit inline.
+	l1HitLat    uint64
+	l1HitBucket int
+
 	// Host-side fast-table counters, registered by AttachObs as
-	// sim.fast.*: committed fast accesses and the shadow-line share of
-	// them (both counted while a hub is attached; see countFastHit),
-	// and generation bumps (including the one at construction). They
-	// describe host work only and stay out of MemStats, so a simulated
-	// result never depends on them.
+	// sim.fast.*: committed fast accesses, the shadow-line share of
+	// them, and probes that fell back to the reference path (all three
+	// counted while a hub is attached; see countFastHit), and generation
+	// bumps (including the one at construction). They describe host
+	// work only and stay out of MemStats, so a simulated result never
+	// depends on them.
 	fastHits          uint64
 	fastShadowHits    uint64
+	fastMisses        uint64
 	fastInvalidations uint64
 
 	// Page-translation memo in front of the TLB (fastpath.go invariant 1
@@ -157,17 +167,15 @@ func New(cfg Config) (*Machine, error) {
 		TLB:           tlb.New(cfg.TLBEntries),
 		l1LineMask:    cfg.L1.LineBytes - 1,
 		l2LineMask:    cfg.L2.LineBytes - 1,
-		fastOn:        !cfg.DisableFastPath,
+		l1HitLat:      max(cfg.L1.HitCycles, 1),
+		fastOn:        !cfg.DisableFastPath && cfg.L1.VirtualIndex,
 		blockDisjoint: true,
 	}
-	m.inflight.init()
+	m.l1HitBucket = obs.BucketIndex(m.l1HitLat, len(st.LoadLatency.Buckets))
 	if m.fastOn {
-		// 4x the L1 line count (next power of two) keeps conflict
-		// evictions rare, so nearly every repeat hit to a resident line
-		// commits on the fast path.
-		n := uint64(1) << bits.Len64(4*cfg.L1.Bytes/cfg.L1.LineBytes-1)
-		m.fastVec = make([]fastEntry, n)
-		m.fastVecMask = n - 1
+		m.fastVec = make([]fastEntry, cfg.L1.Sets()*cfg.L1.Ways)
+		m.fastSetMask = cfg.L1.Sets() - 1
+		m.fastWays = cfg.L1.Ways
 		m.fastVecShift = uint8(bits.TrailingZeros64(cfg.L1.LineBytes))
 	}
 	m.fastInvalidateAll()
@@ -182,10 +190,13 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // ReleaseBuffers returns the machine's large backing allocations (the
 // simulated-memory page frames and the kernel's frame free lists) to
-// their package pools, for reuse by the next machine. The harness calls
-// it when a finished experiment cell discards its system; the machine
-// must not be used afterwards.
+// their package pools, for reuse by the next machine, and drops the fast
+// table, whose entries point into those frames. The harness calls it
+// when a finished experiment cell discards its system; the machine must
+// not be used afterwards.
 func (m *Machine) ReleaseBuffers() {
+	m.fastVec = nil
+	m.fastOn = false
 	m.Mem.Release()
 	m.K.Release()
 }
@@ -408,6 +419,9 @@ func (m *Machine) load(v addr.VAddr, size uint64) uint64 {
 		if value, ok := m.fastLoad(v, size); ok {
 			return value
 		}
+		if m.obs != nil {
+			m.fastMisses++
+		}
 	}
 	return m.loadTail(v, size)
 }
@@ -419,29 +433,34 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	p := m.translate(v)
 	value := m.readValue(p, size)
 
-	// L1 probe (virtually indexed, physically tagged).
+	// L1 probe (virtually indexed, physically tagged). The fast table
+	// learns the line before any prefetch below can refill its slot.
 	if r := m.L1.Lookup(uint64(v), uint64(p)); r.Hit {
+		m.fastPopulate(v, p, r.Slot)
 		done := m.clock + m.cfg.L1.HitCycles
 		if r.WasPrefetched {
 			m.St.L1PrefetchHits++
 			la := m.L1.LineAddr(uint64(p))
-			if arr, ok := m.inflight.get(la); ok {
+			if arr, ok := m.inflight.Get(la); ok {
 				if arr > done {
 					done = arr // partial hit: data still in flight
 				}
-				m.inflight.del(la)
+				m.inflight.Delete(la)
 			}
 			// PA 7200-style streaming: consuming a prefetched line
 			// triggers the next prefetch, keeping streams ahead.
-			m.maybeL1Prefetch(v, done)
+			if m.cfg.L1Prefetch {
+				m.maybeL1Prefetch(v, done)
+			}
 		}
 		m.St.L1LoadHits++
 		m.finishLoad(start, done)
-		m.traceLoad(v, p, size, start, LevelL1)
+		if m.tracer != nil {
+			m.traceLoad(v, p, size, start, LevelL1)
+		}
 		if m.obs != nil {
 			m.obsLoad(start, LevelL1)
 		}
-		m.fastPopulate(v, p, r.Slot)
 		return value
 	}
 
@@ -450,36 +469,41 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	if m.L2.Lookup(uint64(p), uint64(p)).Hit {
 		_, done := m.l2port.Acquire(missAt, m.cfg.L2.HitCycles)
 		m.St.L2LoadHits++
-		m.fillL1(v, p, done)
+		m.fastPopulate(v, p, m.fillL1(v, p, done))
 		m.finishLoad(start, done)
-		m.traceLoad(v, p, size, start, LevelL2)
+		if m.tracer != nil {
+			m.traceLoad(v, p, size, start, LevelL2)
+		}
 		if m.obs != nil {
 			m.obsLoad(start, LevelL2)
 		}
-		m.maybeL1Prefetch(v, done)
-		m.fastPopulate(v, p, m.L1.FindSlot(uint64(v), uint64(p)))
+		if m.cfg.L1Prefetch {
+			m.maybeL1Prefetch(v, done)
+		}
 		return value
 	}
 
 	// L2 miss: memory access through bus and controller.
 	_, probed := m.l2port.Acquire(missAt, m.cfg.L2MissProbeCycles)
-	done := m.memoryFill(v, p, probed, false)
+	done := m.memoryFill(p, probed)
+	m.fastPopulate(v, p, m.fillL1(v, p, done))
 	m.St.MemLoads++
 	m.finishLoad(start, done)
-	m.traceLoad(v, p, size, start, LevelMem)
+	if m.tracer != nil {
+		m.traceLoad(v, p, size, start, LevelMem)
+	}
 	if m.obs != nil {
 		m.obsLoad(start, LevelMem)
 	}
-	m.maybeL1Prefetch(v, done)
-	m.fastPopulate(v, p, m.L1.FindSlot(uint64(v), uint64(p)))
+	if m.cfg.L1Prefetch {
+		m.maybeL1Prefetch(v, done)
+	}
 	return value
 }
 
 // traceLoad emits a load event (after finishLoad advanced the clock).
+// Callers check for a tracer first.
 func (m *Machine) traceLoad(v addr.VAddr, p addr.PAddr, size uint64, start timeline.Time, lvl TraceLevel) {
-	if m.tracer == nil {
-		return
-	}
 	m.trace(TraceEvent{
 		Cycle: start, Kind: TraceLoad, Level: lvl, VAddr: v, PAddr: p,
 		Size: size, Latency: m.clock - start, Shadow: m.MC.IsShadow(p),
@@ -497,10 +521,9 @@ func (m *Machine) finishLoad(start, done timeline.Time) {
 }
 
 // memoryFill fetches the L2 line containing p from the memory system,
-// fills L2 (and L1 for demand fetches), and returns the completion time.
-// For background fills (prefetch, store allocate) the caller ignores the
-// L1 fill by passing background=true.
-func (m *Machine) memoryFill(v addr.VAddr, p addr.PAddr, at timeline.Time, background bool) timeline.Time {
+// fills L2, and returns the completion time. A demand load then fills L1
+// itself; prefetches and store allocates fill L2 only.
+func (m *Machine) memoryFill(p addr.PAddr, at timeline.Time) timeline.Time {
 	lineP := addr.PAddr(uint64(p) &^ m.l2LineMask)
 	reqDone := m.Bus.Request(at)
 	ready, err := m.MC.ReadLine(reqDone, lineP)
@@ -509,16 +532,13 @@ func (m *Machine) memoryFill(v addr.VAddr, p addr.PAddr, at timeline.Time, backg
 	}
 	done := m.Bus.Transfer(ready, m.cfg.L2.LineBytes)
 	m.insertL2(p, false, done)
-	if !background {
-		m.fillL1(v, p, done)
-	}
 	return done
 }
 
 // insertL2 installs the line containing p into L2, handling a dirty
 // victim with a posted write-back (bus + controller, non-blocking).
 func (m *Machine) insertL2(p addr.PAddr, dirty bool, at timeline.Time) {
-	ev := m.L2.Insert(uint64(p), uint64(p), dirty, false)
+	ev, _ := m.L2.Insert(uint64(p), uint64(p), dirty, false)
 	if ev.Valid && ev.Dirty {
 		m.St.L2Writebacks++
 		vp := addr.PAddr(ev.PAddr(m.cfg.L2.LineBytes))
@@ -531,10 +551,13 @@ func (m *Machine) insertL2(p addr.PAddr, dirty bool, at timeline.Time) {
 }
 
 // fillL1 installs the L1 line containing p, handling a dirty victim by
-// writing it down to L2 (write-back).
-func (m *Machine) fillL1(v addr.VAddr, p addr.PAddr, at timeline.Time) {
-	ev := m.L1.Insert(uint64(v), uint64(p), false, false)
+// writing it down to L2 (write-back). It returns the slot the line now
+// occupies, whose fast-table entry it killed.
+func (m *Machine) fillL1(v addr.VAddr, p addr.PAddr, at timeline.Time) int {
+	ev, slot := m.L1.Insert(uint64(v), uint64(p), false, false)
+	m.fastKill(slot)
 	m.l1Victim(ev, at)
+	return slot
 }
 
 func (m *Machine) l1Victim(ev cache.Eviction, at timeline.Time) {
@@ -545,7 +568,7 @@ func (m *Machine) l1Victim(ev cache.Eviction, at timeline.Time) {
 	vp := addr.PAddr(ev.PAddr(m.cfg.L1.LineBytes))
 	// The L1 victim's data lands in L2 if present (PIPT probe by its
 	// physical address); otherwise it is written around to memory.
-	if m.L2.MarkDirty(uint64(vp), uint64(vp)) {
+	if m.L2.MarkDirty(uint64(vp), uint64(vp)) >= 0 {
 		m.l2port.Acquire(at, m.cfg.L2MissProbeCycles)
 		return
 	}
@@ -560,11 +583,9 @@ func (m *Machine) l1Victim(ev cache.Eviction, at timeline.Time) {
 // the L1: after a demand L1 miss, fetch the following line in the
 // background. The prefetch contends for the L2 port (and the bus on an L2
 // miss), which is how the paper's "L1 prefetching hurts dense matrix
-// product through L2 contention" effect arises.
+// product through L2 contention" effect arises. Callers check that the
+// prefetcher is on.
 func (m *Machine) maybeL1Prefetch(v addr.VAddr, at timeline.Time) {
-	if !m.cfg.L1Prefetch {
-		return
-	}
 	nv := addr.VAddr((uint64(v) &^ m.l1LineMask) + m.cfg.L1.LineBytes)
 	// Do not walk page tables for a prefetch: translate only within the
 	// same page or via a TLB hit.
@@ -597,12 +618,13 @@ func (m *Machine) maybeL1Prefetch(v addr.VAddr, at timeline.Time) {
 			return
 		}
 		_, probed := m.l2port.Acquire(at, m.cfg.L2MissProbeCycles)
-		arrive = m.memoryFill(nv, np, probed, true)
+		arrive = m.memoryFill(np, probed)
 	}
 	m.St.L1Prefetches++
-	ev := m.L1.Insert(uint64(nv), uint64(np), false, true)
+	ev, slot := m.L1.Insert(uint64(nv), uint64(np), false, true)
+	m.fastKill(slot)
 	m.l1Victim(ev, arrive)
-	m.inflight.put(m.L1.LineAddr(uint64(np)), arrive)
+	m.inflight.Put(m.L1.LineAddr(uint64(np)), arrive)
 }
 
 // --- Store path ----------------------------------------------------------
@@ -625,8 +647,13 @@ func (m *Machine) StoreF64(v addr.VAddr, val float64) {
 // port, and DRAM time they consume delays later loads.
 func (m *Machine) store(v addr.VAddr, size, val uint64) {
 	m.St.Stores++
-	if m.fastOn && m.fastStore(v, size, val) {
-		return
+	if m.fastOn {
+		if m.fastStore(v, size, val) {
+			return
+		}
+		if m.obs != nil {
+			m.fastMisses++
+		}
 	}
 	m.storeTail(v, size, val)
 }
@@ -638,10 +665,10 @@ func (m *Machine) storeTail(v addr.VAddr, size, val uint64) {
 	p := m.translate(v)
 	m.writeValue(p, size, val)
 
-	if m.L1.MarkDirty(uint64(v), uint64(p)) {
+	if slot := m.L1.MarkDirty(uint64(v), uint64(p)); slot >= 0 {
 		m.St.L1StoreHits++
-		m.fastPopulate(v, p, m.L1.FindSlot(uint64(v), uint64(p)))
-	} else if m.L2.MarkDirty(uint64(p), uint64(p)) {
+		m.fastPopulate(v, p, slot)
+	} else if m.L2.MarkDirty(uint64(p), uint64(p)) >= 0 {
 		m.St.L2StoreHits++
 		m.l2port.Acquire(m.clock+1, m.cfg.L2MissProbeCycles)
 	} else {
@@ -649,7 +676,7 @@ func (m *Machine) storeTail(v addr.VAddr, size, val uint64) {
 		_, probed := m.l2port.Acquire(m.clock+1, m.cfg.L2MissProbeCycles)
 		// Write-allocate: fetch the line into L2 in the background and
 		// mark it dirty.
-		m.memoryFill(v, p, probed, true)
+		m.memoryFill(p, probed)
 		m.L2.MarkDirty(uint64(p), uint64(p))
 	}
 	m.St.Instructions++
@@ -707,10 +734,11 @@ func (m *Machine) cacheMaint(v addr.VAddr, bytes uint64, writeback bool) {
 			m.trace(TraceEvent{Cycle: m.clock, Kind: TraceFlush, VAddr: va, PAddr: p,
 				Size: m.cfg.L1.LineBytes, Shadow: m.MC.IsShadow(p)})
 		}
-		present, dirty := m.L1.FlushLine(uint64(va), uint64(p))
-		if present && dirty && writeback {
+		slot, dirty := m.L1.FlushLine(uint64(va), uint64(p))
+		m.fastKill(slot)
+		if dirty && writeback {
 			// Dirty L1 data moves to L2 (or memory) like a victim.
-			if !m.L2.MarkDirty(uint64(p), uint64(p)) {
+			if m.L2.MarkDirty(uint64(p), uint64(p)) < 0 {
 				req := m.Bus.Request(m.clock)
 				wbReady := m.Bus.Transfer(req, m.cfg.L1.LineBytes)
 				if _, err := m.MC.WriteLine(wbReady, addr.PAddr(uint64(p)&^m.l2LineMask)); err != nil {
@@ -721,8 +749,7 @@ func (m *Machine) cacheMaint(v addr.VAddr, bytes uint64, writeback bool) {
 		// L2 maintenance at its own line granularity.
 		if a%m.cfg.L2.LineBytes == 0 || a == lo {
 			lp := uint64(p) &^ m.l2LineMask
-			present, dirty := m.L2.FlushLine(lp, lp)
-			if present && dirty && writeback {
+			if _, dirty := m.L2.FlushLine(lp, lp); dirty && writeback {
 				m.St.L2Writebacks++
 				req := m.Bus.Request(m.clock)
 				wbReady := m.Bus.Transfer(req, m.cfg.L2.LineBytes)
@@ -745,7 +772,7 @@ func (m *Machine) ResetCachesUntimed() {
 	m.L2.FlushAll(nil)
 	m.TLB.InvalidateAll()
 	m.MC.InvalidateBuffers()
-	m.inflight.reset()
+	m.inflight.Reset()
 	m.fastInvalidateAll()
 }
 
@@ -756,6 +783,7 @@ func (m *Machine) FlushAllCaches() {
 		m.St.FlushedLines++
 		m.clock += FlushCyclesPerLine
 	})
+	m.fastInvalidateAll() // every L1 slot's line changed
 	m.L2.FlushAll(func(lineAddr uint64, dirty bool) {
 		m.St.FlushedLines++
 		m.clock += FlushCyclesPerLine

@@ -12,11 +12,18 @@ import (
 // testMachine builds a machine with a small DRAM to keep tests light.
 func testMachine(t *testing.T) *Machine {
 	t.Helper()
+	return testMachineWith(t, func(*Config) {})
+}
+
+// testMachineWith is testMachine with edit applied to the configuration.
+func testMachineWith(t *testing.T, edit func(*Config)) *Machine {
+	t.Helper()
 	cfg := DefaultConfig()
 	layout := addr.Layout{DRAMBytes: 32 << 20, ShadowBase: 1 << 30, ShadowBytes: 256 << 20}
 	cfg.Kernel.Layout = layout
 	cfg.MC.Layout = layout
 	cfg.MC.PgTblBase = addr.PAddr(layout.DRAMBytes - cfg.MC.PgTblBytes)
+	edit(&cfg)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -395,17 +402,24 @@ func TestStoreBacklogThrottles(t *testing.T) {
 	}
 }
 
-// TestFastEntrySize pins the fast-table entry at 32 bytes (the table
-// holds four entries per L1 line): the L1 tag is computed from pbase
-// rather than stored, which leaves room for the shadow data base.
+// TestFastEntrySize pins the fast-table entry at 40 bytes. The table has
+// exactly one entry per L1 slot (1,024 entries, 40 KB, for the paper's
+// L1), so a hit reads this one record and no other: the virtual line,
+// the bus line (the L1 tag and the trace address), the data base, the
+// host page behind it and the generation stamp.
 func TestFastEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(fastEntry{}); got != 32 {
-		t.Errorf("fastEntry is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(fastEntry{}); got != 40 {
+		t.Errorf("fastEntry is %d bytes, want 40", got)
+	}
+	m := testMachine(t)
+	if got, want := len(m.fastVec), int(m.cfg.L1.Sets()*m.cfg.L1.Ways); got != want {
+		t.Errorf("fast table has %d entries, want one per L1 slot (%d)", got, want)
 	}
 }
 
 // TestFastCounters: with a hub attached, sim.fast.hits counts every L1
-// hit committed on the fast path, loads and stores; a machine without a
+// hit committed on the fast path, loads and stores, and sim.fast.misses
+// every probe that fell back to the reference path; a machine without a
 // hub skips the counting, which is then free on the fast path.
 func TestFastCounters(t *testing.T) {
 	run := func(h *obs.Hub) *Machine {
@@ -419,19 +433,25 @@ func TestFastCounters(t *testing.T) {
 			m.Load64(va + 8)
 		}
 		m.Store64(va+16, 1)
+		m.Store64(va+64, 2) // misses L1: a second fallback
 		return m
 	}
 	h := obs.New(obs.Config{})
 	m := run(h)
 	hits, _ := h.Reg().Value("sim.fast.hits")
 	shadow, _ := h.Reg().Value("sim.fast.shadow_hits")
+	misses, _ := h.Reg().Value("sim.fast.misses")
 	if l1 := m.St.L1LoadHits + m.St.L1StoreHits; hits != 5 || l1 != 5 {
 		t.Errorf("sim.fast.hits = %d, L1 hits = %d; want 5 each", hits, l1)
 	}
 	if shadow != 0 {
 		t.Errorf("sim.fast.shadow_hits = %d on ordinary lines", shadow)
 	}
-	if m := run(nil); m.fastHits != 0 || m.St.L1LoadHits != 4 {
-		t.Errorf("without a hub: fastHits = %d, L1LoadHits = %d; want 0 and 4", m.fastHits, m.St.L1LoadHits)
+	if all := m.St.Loads + m.St.Stores; misses != 2 || hits+misses != all {
+		t.Errorf("sim.fast.misses = %d beside %d hits of %d accesses; want 2, summing to the accesses", misses, hits, all)
+	}
+	if m := run(nil); m.fastHits != 0 || m.fastMisses != 0 || m.St.L1LoadHits != 4 {
+		t.Errorf("without a hub: fastHits = %d, fastMisses = %d, L1LoadHits = %d; want 0, 0 and 4",
+			m.fastHits, m.fastMisses, m.St.L1LoadHits)
 	}
 }

@@ -31,6 +31,7 @@ func (m *Machine) AttachObs(h *obs.Hub) {
 	r.Gauge("l2port.reservations", m.l2port.Uses)
 	r.Counter("sim.fast.hits", &m.fastHits)
 	r.Counter("sim.fast.shadow_hits", &m.fastShadowHits)
+	r.Counter("sim.fast.misses", &m.fastMisses)
 	r.Counter("sim.fast.invalidations", &m.fastInvalidations)
 	m.St.Register(r, "stats.")
 }

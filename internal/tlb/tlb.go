@@ -10,15 +10,21 @@
 // is generic over the meaning of its keys.
 package tlb
 
-import "fmt"
+import (
+	"fmt"
+
+	"impulse/internal/bitutil"
+)
 
 // TLB is a fully-associative page-number -> frame-number cache with NRU
 // replacement.
 type TLB struct {
 	entries []entry
-	index   slotIndex // key -> slot, for O(1) lookup
-	misses  uint64
-	hits    uint64
+	// index maps key -> entry slot in O(1). It only accelerates the
+	// search: hits, misses and NRU replacement are decided by entries.
+	index  bitutil.Table[int32]
+	misses uint64
+	hits   uint64
 }
 
 type entry struct {
@@ -34,7 +40,7 @@ func New(capacity int) *TLB {
 		panic(fmt.Sprintf("tlb: non-positive capacity %d", capacity))
 	}
 	t := &TLB{entries: make([]entry, capacity)}
-	t.index.init(capacity)
+	t.index.Init(capacity)
 	return t
 }
 
@@ -43,7 +49,7 @@ func (t *TLB) Capacity() int { return len(t.entries) }
 
 // Lookup searches for key; on a hit it sets the entry's referenced bit.
 func (t *TLB) Lookup(key uint64) (value uint64, ok bool) {
-	if i, found := t.index.get(key); found && t.entries[i].valid {
+	if i, found := t.index.Get(key); found && t.entries[i].valid {
 		t.entries[i].ref = true
 		t.hits++
 		return t.entries[i].value, true
@@ -56,7 +62,7 @@ func (t *TLB) Lookup(key uint64) (value uint64, ok bool) {
 // the first entry with a clear referenced bit is the victim; if every
 // referenced bit is set, all are cleared first (the classic NRU sweep).
 func (t *TLB) Insert(key, value uint64) {
-	if i, found := t.index.get(key); found {
+	if i, found := t.index.Get(key); found {
 		t.entries[i].value = value
 		t.entries[i].valid = true
 		t.entries[i].ref = true
@@ -71,10 +77,10 @@ func (t *TLB) Insert(key, value uint64) {
 	}
 	if victim < 0 {
 		victim = t.nruVictim()
-		t.index.del(t.entries[victim].key)
+		t.index.Delete(t.entries[victim].key)
 	}
 	t.entries[victim] = entry{key: key, value: value, valid: true, ref: true}
-	t.index.put(key, victim)
+	t.index.Put(key, int32(victim))
 }
 
 func (t *TLB) nruVictim() int {
@@ -92,9 +98,9 @@ func (t *TLB) nruVictim() int {
 
 // Invalidate removes key if present.
 func (t *TLB) Invalidate(key uint64) {
-	if i, found := t.index.get(key); found {
+	if i, found := t.index.Get(key); found {
 		t.entries[i] = entry{}
-		t.index.del(key)
+		t.index.Delete(key)
 	}
 }
 
@@ -103,7 +109,7 @@ func (t *TLB) InvalidateAll() {
 	for i := range t.entries {
 		t.entries[i] = entry{}
 	}
-	t.index.reset()
+	t.index.Reset()
 }
 
 // Hits returns the number of successful lookups.
@@ -113,4 +119,4 @@ func (t *TLB) Hits() uint64 { return t.hits }
 func (t *TLB) Misses() uint64 { return t.misses }
 
 // Valid returns the number of valid entries.
-func (t *TLB) Valid() int { return t.index.n }
+func (t *TLB) Valid() int { return t.index.Len() }
