@@ -37,16 +37,20 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem ./... | \
 		$(GO) run ./cmd/benchjson -compare $(BENCH_JSON) -threshold $(BENCH_THRESHOLD)
 
-# fuzz-short gives two parsers of outside bytes a brief randomized
+# fuzz-short gives three readers of outside bytes a brief randomized
 # shakedown; the corpus seeds cover real payloads plus known-malformed
 # shapes. The experiment-spec parser must never panic and must re-parse
 # every spec it accepts, marshalled back to JSON, to the same canonical
 # encoding and hash (store recovery drops a sidecar that does not). The
 # columnar result decoder must reject every malformed blob without
-# panicking.
+# panicking. Store recovery, over arbitrary sidecar and blob files, must
+# never panic and never serve a blob that differs from its sidecar's
+# length and SHA-256; its inputs are files on disk, and the default
+# minimisation of a new input stalls on them, so it gets 1 s.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonical -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/colres
+	$(GO) test -run '^$$' -fuzz FuzzStoreRecover -fuzztime 10s -fuzzminimizetime 1s ./internal/store
 
 # twin-validate runs every analytical twin against a full simulator
 # sweep at the fast geometry and fails when any family's median cycles
@@ -217,13 +221,13 @@ saturate-smoke:
 	echo "saturate-smoke OK"
 
 # ci is the pre-PR gate: formatting, vet, build, full tests, the race
-# detector over the short suite, a short fuzz of the spec parser and the
-# columnar decoder, the analytical twin validation (fast geometry, hard
-# error bounds), the paper-size per-cell goldens, the service and fleet
-# smoke tests, and a warn-only benchmark diff against the committed
-# baseline. Benchmarks on shared CI hosts are too noisy to be a hard
-# gate; a regression warns but does not fail the build — see
-# docs/PERF.md. Run it before every PR.
+# detector over the short suite, a short fuzz of the spec parser, the
+# columnar decoder and store recovery, the analytical twin validation
+# (fast geometry, hard error bounds), the paper-size per-cell goldens,
+# the service and fleet smoke tests, and a warn-only benchmark diff
+# against the committed baseline. Benchmarks on shared CI hosts are too
+# noisy to be a hard gate; a regression warns but does not fail the
+# build — see docs/PERF.md. Run it before every PR.
 ci:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi

@@ -41,7 +41,6 @@ func main() {
 	archiveDir := flag.String("archive-dir", "", "directory for archived result blobs (empty: private temp dir, removed on exit)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "harness worker goroutines per running job")
 	route := flag.String("route", "", "comma-separated shard URLs (name=url or bare url): serve as a fleet router over these backends instead of executing locally")
-	cyclesPerSec := flag.Float64("fleet-cycles-per-sec", 0, "with -route: simulated cycles one shard executor burns per wall second (Retry-After calibration; 0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long graceful shutdown waits for in-flight jobs")
 	slowJob := flag.Duration("slow-job", time.Minute, "warn about jobs whose execution exceeds this (0 disables)")
 	logFormat := flag.String("log-format", "json", "log output format: json or text")
@@ -98,10 +97,9 @@ func main() {
 		}
 		var err error
 		rt, err = fleet.New(fleet.Config{
-			Shards:          shards,
-			Local:           svc,
-			CyclesPerSecond: *cyclesPerSec,
-			Logger:          log,
+			Shards: shards,
+			Local:  svc,
+			Logger: log,
 		})
 		if err != nil {
 			log.Error("fleet setup", "err", err)

@@ -1,12 +1,15 @@
 // Package cache implements the processor cache model: a set-associative
-// cache with configurable geometry, indexing, and write policy, matching
-// the two caches of the paper's simulated machine:
+// cache with configurable geometry, defaulting to the two caches of the
+// paper's simulated machine:
 //
-//   - L1 data: 32 KB, direct-mapped, 32-byte lines, virtually indexed /
-//     physically tagged, write-back, write-around (no allocate on store
-//     miss), 1-cycle hit;
-//   - L2 data: 256 KB, 2-way set-associative, 128-byte lines, physically
-//     indexed and tagged, write-back, write-allocate, 7-cycle hit.
+//   - L1 data: 32 KB, direct-mapped, 32-byte lines, 1-cycle hit;
+//   - L2 data: 256 KB, 2-way set-associative, 128-byte lines, 7-cycle hit.
+//
+// Indexing and write policy are the paper's and live in the machine
+// (package sim), which passes each access's index and tag addresses: the
+// L1 is virtually indexed and physically tagged, write-back and
+// write-around (no allocate on store miss); the L2 is physically indexed
+// and tagged, write-back and write-allocate.
 //
 // The model tracks tags and state only. Data values live in the simulated
 // DRAM (package membuf) and stores update them functionally at execution
@@ -26,28 +29,24 @@ import (
 
 // Config describes one cache level.
 type Config struct {
-	Name          string
-	Bytes         uint64 // total capacity; power of two
-	LineBytes     uint64 // line size; power of two
-	Ways          uint64 // associativity; power of two (1 = direct-mapped)
-	VirtualIndex  bool   // true: index with virtual address (VIPT), else physical
-	WriteAllocate bool   // allocate on store miss (false = write-around)
-	HitCycles     uint64 // access latency on hit
+	Name      string
+	Bytes     uint64 // total capacity; power of two
+	LineBytes uint64 // line size; power of two
+	Ways      uint64 // associativity; power of two (1 = direct-mapped)
+	HitCycles uint64 // access latency on hit
 }
 
 // L1Default returns the paper's L1 data-cache geometry.
 func L1Default() Config {
 	return Config{
-		Name: "L1", Bytes: 32 << 10, LineBytes: 32, Ways: 1,
-		VirtualIndex: true, WriteAllocate: false, HitCycles: 1,
+		Name: "L1", Bytes: 32 << 10, LineBytes: 32, Ways: 1, HitCycles: 1,
 	}
 }
 
 // L2Default returns the paper's L2 data-cache geometry.
 func L2Default() Config {
 	return Config{
-		Name: "L2", Bytes: 256 << 10, LineBytes: 128, Ways: 2,
-		VirtualIndex: false, WriteAllocate: true, HitCycles: 7,
+		Name: "L2", Bytes: 256 << 10, LineBytes: 128, Ways: 2, HitCycles: 7,
 	}
 }
 

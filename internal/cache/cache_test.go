@@ -283,8 +283,8 @@ func TestReferenceEquivalence(t *testing.T) {
 			t.Fatalf("step %d addr %#x: cache hit=%v ref hit=%v", i, a, got, want)
 		}
 		if !got {
-			// Fill on miss (loads always; stores only if write-allocate).
-			if !isStore || cfg.WriteAllocate {
+			// Fill on miss: loads only (the L1's write-around policy).
+			if !isStore {
 				c.Insert(a, a, isStore, false)
 				ref.insert(a, isStore)
 			}

@@ -23,12 +23,10 @@
 //     events) proxies to it with the prefix stripped.
 //
 // Backpressure: a shard answering 429 (its bounded queue is full) stays
-// 429 at the router, but the constant Retry-After is replaced with a
-// cost-aware estimate — queue depth × the EWMA of recent submissions'
-// estimated execution cost (twin predictions priced in simulated
-// cycles, per-kind defaults otherwise) ÷ the shard's executors — so a
-// client backing off under a cold-miss storm waits roughly one queue
-// drain, not a guess.
+// 429 at the router, with the shard's own Retry-After relayed unchanged.
+// The shard prices it from the run times it measures (see
+// internal/service), so a client backing off under a cold-miss storm
+// waits roughly one queue drain of that shard, not a guess.
 package fleet
 
 import (
@@ -37,7 +35,6 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -47,7 +44,6 @@ import (
 
 	"impulse/internal/obs"
 	"impulse/internal/service"
-	"impulse/internal/twin"
 )
 
 // ShardConfig names one backend impulsed.
@@ -68,10 +64,6 @@ type Config struct {
 	Local *service.Service
 	// HealthInterval is the /readyz+/healthz poll period (default 500ms).
 	HealthInterval time.Duration
-	// CyclesPerSecond calibrates twin cost estimates: how many simulated
-	// cycles one executor burns per wall second (default 100e6, measured
-	// on the sweep families; -fleet-cycles-per-sec overrides).
-	CyclesPerSecond float64
 	// Client serves proxied requests. Nil gets a transport tuned for
 	// many concurrent same-host requests (the saturation harness drives
 	// 10k+ req/s through this client).
@@ -81,7 +73,8 @@ type Config struct {
 }
 
 // shard is one backend's live state: health from the poller, queue
-// geometry from /healthz (feeding Retry-After estimates), and counters.
+// geometry from /healthz (shown by /fleet/shards and /metrics), and
+// counters.
 type shard struct {
 	name string
 	base *url.URL
@@ -94,23 +87,19 @@ type shard struct {
 
 // Router is the fleet frontend.
 type Router struct {
-	shards  []*shard
-	byName  map[string]*shard
-	local   *service.Service
-	localH  http.Handler
-	client  *http.Client
-	probe   *http.Client
-	logger  *slog.Logger
-	cyclesS float64
+	shards []*shard
+	byName map[string]*shard
+	local  *service.Service
+	localH http.Handler
+	client *http.Client
+	probe  *http.Client
+	logger *slog.Logger
 
 	reg obs.Registry
 
 	cSubmits, cTwinLocal, cRouted      atomic.Uint64
 	cRerouted, cBackpressure, cNoShard atomic.Uint64
 	hRetryAfter, hSubmitLat            *obs.Histogram
-
-	costMu sync.Mutex
-	ewmaUS float64 // EWMA of estimated per-submission execution cost, µs
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -129,17 +118,13 @@ func New(cfg Config) (*Router, error) {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 500 * time.Millisecond
 	}
-	if cfg.CyclesPerSecond <= 0 {
-		cfg.CyclesPerSecond = 100e6
-	}
 	rt := &Router{
-		byName:  make(map[string]*shard, len(cfg.Shards)),
-		local:   cfg.Local,
-		localH:  cfg.Local.Handler(),
-		client:  cfg.Client,
-		logger:  cfg.Logger,
-		cyclesS: cfg.CyclesPerSecond,
-		stop:    make(chan struct{}),
+		byName: make(map[string]*shard, len(cfg.Shards)),
+		local:  cfg.Local,
+		localH: cfg.Local.Handler(),
+		client: cfg.Client,
+		logger: cfg.Logger,
+		stop:   make(chan struct{}),
 	}
 	if rt.logger == nil {
 		rt.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -196,7 +181,7 @@ func (rt *Router) registerMetrics() {
 	rt.reg.CounterFunc("fleet.submits_twin_local", "Submissions answered by the router's local twin tier (no shard touched).", u(&rt.cTwinLocal))
 	rt.reg.CounterFunc("fleet.submits_routed", "Submissions routed to a shard by rendezvous hash.", u(&rt.cRouted))
 	rt.reg.CounterFunc("fleet.submits_rerouted", "Submissions re-picked after the first-choice shard failed mid-request.", u(&rt.cRerouted))
-	rt.reg.CounterFunc("fleet.backpressure_429", "Shard 429s relayed with a cost-aware Retry-After.", u(&rt.cBackpressure))
+	rt.reg.CounterFunc("fleet.backpressure_429", "Shard 429s relayed to the client with the shard's Retry-After.", u(&rt.cBackpressure))
 	rt.reg.CounterFunc("fleet.no_healthy_shard", "Submissions failed 503 because no shard was healthy.", u(&rt.cNoShard))
 	rt.reg.GaugeFunc("fleet.shards", "Configured shard count.", func() uint64 { return uint64(len(rt.shards)) })
 	rt.reg.GaugeFunc("fleet.shards_healthy", "Shards currently passing /readyz.", func() uint64 {
@@ -208,7 +193,7 @@ func (rt *Router) registerMetrics() {
 		}
 		return n
 	})
-	rt.hRetryAfter = rt.reg.Histogram("fleet.retry_after_seconds", "Cost-aware Retry-After values attached to relayed 429s.")
+	rt.hRetryAfter = rt.reg.Histogram("fleet.retry_after_seconds", "Retry-After seconds the shards priced on relayed 429s.")
 	rt.hSubmitLat = rt.reg.Histogram("fleet.submit_duration_us", "Microseconds spent serving routed submissions (proxy round trip included).")
 	for _, sh := range rt.shards {
 		sh := sh
@@ -287,7 +272,7 @@ func (rt *Router) pollAll() {
 }
 
 // pollShard probes /readyz for health and /healthz for queue geometry
-// (depth, capacity, executors — the Retry-After estimator's inputs).
+// (depth, capacity, running, executors).
 func (rt *Router) pollShard(sh *shard) {
 	ready := false
 	if resp, err := rt.probe.Get(sh.base.String() + "/readyz"); err == nil {
@@ -323,71 +308,6 @@ func (rt *Router) setHealthy(sh *shard, ok bool) {
 		sh.transitions.Add(1)
 		rt.logger.Info("shard health changed", "shard", sh.name, "healthy", ok)
 	}
-}
-
-// estimateCostUS estimates one spec's execution cost in microseconds.
-// Sweep specs whose family has an analytical twin are priced from the
-// twin itself — total predicted simulated cycles over the calibrated
-// simulator throughput — so the admission hint for a heavy sweep scales
-// with how heavy the sweep actually is. Everything else gets a per-kind
-// default (measured orders of magnitude, not constants pulled from air:
-// tables re-simulate a grid, figure1 a page sweep, sim one config).
-func (rt *Router) estimateCostUS(spec service.Spec) float64 {
-	if spec.Kind == "sweep" {
-		if _, ok := twin.Eligible(spec.Family); ok {
-			if pred, err := twin.Predict(spec.Family, spec.Fast); err == nil {
-				var cycles float64
-				for _, row := range pred.Cells {
-					for _, c := range row {
-						cycles += float64(c.Cycles)
-					}
-				}
-				if cycles > 0 {
-					return cycles / rt.cyclesS * 1e6
-				}
-			}
-		}
-		return 5e6 // un-twinned sweep: assume seconds, not micros
-	}
-	switch spec.Kind {
-	case "table1", "table2":
-		return 2e6
-	case "figure1":
-		return 1e6
-	default: // sim
-		return 0.2e6
-	}
-}
-
-// observeCost folds one submission's estimate into the EWMA the
-// Retry-After math uses (α=0.2: a storm of heavy sweeps raises the
-// advertised backoff within a few requests).
-func (rt *Router) observeCost(us float64) {
-	rt.costMu.Lock()
-	if rt.ewmaUS == 0 {
-		rt.ewmaUS = us
-	} else {
-		rt.ewmaUS = 0.8*rt.ewmaUS + 0.2*us
-	}
-	rt.costMu.Unlock()
-}
-
-// retryAfterSeconds is the admission hint attached to a relayed 429:
-// roughly how long sh's queue takes to drain at the fleet's recent cost
-// mix — (depth+1) × EWMA cost ÷ executors — clamped to [1s, 60s].
-func (rt *Router) retryAfterSeconds(sh *shard) int {
-	rt.costMu.Lock()
-	cost := rt.ewmaUS
-	rt.costMu.Unlock()
-	if cost <= 0 {
-		cost = 1e6
-	}
-	ex := float64(sh.executors.Load())
-	if ex == 0 {
-		ex = 1
-	}
-	sec := (float64(sh.queueDepth.Load()) + 1) * cost / ex / 1e6
-	return int(math.Min(60, math.Max(1, math.Ceil(sec))))
 }
 
 // ownerName splits a namespaced job ID "s3.j-000042" into its shard and

@@ -41,10 +41,10 @@ func newFakeShard(t *testing.T) *fakeShard {
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		if f.reject429.Load() {
-			w.Header().Set("Retry-After", "1")
+			w.Header().Set("Retry-After", "7")
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"error":"service: job queue full"}`)
+			fmt.Fprint(w, `{"error":"service: job queue full","retry_after_s":7}`)
 			return
 		}
 		body, _ := io.ReadAll(r.Body)
@@ -267,34 +267,34 @@ func TestRerouteOnShardFailure(t *testing.T) {
 	}
 }
 
-// TestBackpressureRetryAfter: a shard's 429 passes through with a
-// cost-aware Retry-After computed from its queue geometry, not the
-// shard's constant.
+// TestBackpressureRetryAfter: a shard's 429 reaches the client with the
+// shard's own Retry-After, which the shard priced from its measured run
+// times; the router adds the shard's name and counts the rejection.
 func TestBackpressureRetryAfter(t *testing.T) {
 	f := newFakeShard(t)
 	rt, _ := newTestRouter(t, []ShardConfig{{Name: "s0", URL: f.srv.URL}})
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
-	// Teach the EWMA a heavy cost mix: un-twinned sweeps estimate at 5s.
 	f.reject429.Store(true)
 	resp, m := postJSON(t, ts.URL+"/v1/jobs", `{"kind":"sweep","family":"scheduler","fast":true}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
-	retry, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil {
-		t.Fatalf("Retry-After %q not an integer", resp.Header.Get("Retry-After"))
+	if got := resp.Header.Get("Retry-After"); got != "7" {
+		t.Fatalf("Retry-After %q, want the shard's 7", got)
 	}
-	// queue_capacity=8 (full), executors=2, cost≈5s → (8+1)*5/2 ≈ 23s.
-	if retry <= 1 || retry > 60 {
-		t.Fatalf("Retry-After %d not cost-derived (want >1, ≤60)", retry)
+	if got, ok := m["retry_after_s"].(float64); !ok || got != 7 {
+		t.Fatalf("429 body retry_after_s %v, want the shard's 7: %v", m["retry_after_s"], m)
 	}
-	if _, ok := m["retry_after_s"]; !ok {
-		t.Fatalf("429 body missing retry_after_s: %v", m)
+	if m["shard"] != "s0" {
+		t.Fatalf("429 body does not name its shard: %v", m)
 	}
 	if got, _ := rt.Registry().Value("fleet.backpressure_429"); got != 1 {
 		t.Fatalf("fleet.backpressure_429 = %d, want 1", got)
+	}
+	if n, sum := rt.hRetryAfter.Count(), rt.hRetryAfter.Sum(); n != 1 || sum != 7 {
+		t.Fatalf("fleet.retry_after_seconds recorded %d values summing to %d, want one 7", n, sum)
 	}
 }
 

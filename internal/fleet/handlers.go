@@ -85,8 +85,6 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.localH.ServeHTTP(w, r2)
 		return
 	}
-	rt.observeCost(rt.estimateCostUS(norm))
-
 	hash := norm.Hash()
 	exclude := map[*shard]bool{}
 	for range rt.shards {
@@ -135,8 +133,9 @@ func (rt *Router) forward(sh *shard, r *http.Request, path string, body io.Reade
 }
 
 // relaySubmit rewrites a shard's submission response for the fleet:
-// job IDs gain the shard prefix, 429s gain the cost-aware Retry-After,
-// and every response names its shard in X-Impulse-Shard.
+// job IDs gain the shard prefix, the body and X-Impulse-Shard name the
+// shard, and the shard's Retry-After passes through — on a 429 it is the
+// shard's own price of its backlog.
 func (rt *Router) relaySubmit(w http.ResponseWriter, resp *http.Response, sh *shard) {
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
@@ -145,28 +144,16 @@ func (rt *Router) relaySubmit(w http.ResponseWriter, resp *http.Response, sh *sh
 		return
 	}
 	w.Header().Set("X-Impulse-Shard", sh.name)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	for _, h := range []string{"Content-Type", "Retry-After"} {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
-		// Satellite of the twin tier: the shard's constant Retry-After
-		// becomes an admission hint derived from its queue and the cost
-		// EWMA (heavy sweeps quote honest waits, not "1").
 		rt.cBackpressure.Add(1)
-		sh.queueDepth.Store(sh.queueCap.Load()) // it just told us it is full
-		retry := rt.retryAfterSeconds(sh)
-		rt.hRetryAfter.Observe(uint64(retry))
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		var m map[string]any
-		if json.Unmarshal(payload, &m) == nil && m != nil {
-			m["retry_after_s"] = retry
-			m["shard"] = sh.name
-			writeJSON(w, resp.StatusCode, m)
-			return
+		if retry, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && retry >= 0 {
+			rt.hRetryAfter.Observe(uint64(retry))
 		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(payload)
-		return
 	}
 	var m map[string]any
 	if json.Unmarshal(payload, &m) == nil && m != nil {

@@ -12,7 +12,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -31,14 +30,13 @@ func ResetTraceCache() { memo.reset() }
 
 // cellSpec describes one grid cell to runCell: the identity of its
 // reference stream (key), the configuration to simulate it under
-// (opts), how to rewrite row labels stored by an identical cell for this
-// cell (relabel, nil = keep), and the workload (exec returns the cell's
-// measured row).
+// (opts), and the workload (exec returns the cell's measured row). Every
+// row label is a function of the cell's identity, so an identical cell's
+// stored rows are re-emitted as they are.
 type cellSpec struct {
-	key     string
-	opts    core.Options
-	relabel func(string) string
-	exec    func(s *core.System) (core.Row, error)
+	key  string
+	opts core.Options
+	exec func(s *core.System) (core.Row, error)
 }
 
 // cellID is a cell's full identity: two cells with equal IDs simulate the
@@ -137,8 +135,8 @@ func runCell(tc *TaskCtx, spec cellSpec) (core.Row, error) {
 	return row, err
 }
 
-// memoCell returns an identical cell's stored rows, relabelled for this
-// cell, or computes the cell and stores its rows.
+// memoCell returns an identical cell's stored rows, or computes the cell
+// and stores its rows.
 func memoCell(tc *TaskCtx, spec cellSpec) (core.Row, string, error) {
 	id := spec.id()
 	for {
@@ -154,9 +152,9 @@ func memoCell(tc *TaskCtx, spec cellSpec) (core.Row, string, error) {
 		}
 		if ent.err == nil {
 			for _, r := range ent.rows {
-				tc.Observe(relabelRow(r, spec.relabel))
+				tc.Observe(r)
 			}
-			return relabelRow(ent.row, spec.relabel), "reused", nil
+			return ent.row, "reused", nil
 		}
 		// The computing cell failed and dropped its entry (a cancelled
 		// job must not fail an identical cell of another job): compute
@@ -183,13 +181,6 @@ func computeCell(tc *TaskCtx, spec cellSpec, id cellID, ent *memoEntry) (core.Ro
 	return row, "execute", nil
 }
 
-func relabelRow(r core.Row, relabel func(string) string) core.Row {
-	if relabel != nil {
-		r.Label = relabel(r.Label)
-	}
-	return r
-}
-
 // runUncached computes a cell by executing its workload on a fresh
 // machine.
 func runUncached(tc *TaskCtx, spec cellSpec) (core.Row, error) {
@@ -211,26 +202,6 @@ func streamSig(cfg *sim.Config) string {
 		c = *cfg
 	}
 	return fmt.Sprintf("l1=%d,colors=%d", c.L1.Bytes, c.Kernel.PageColors)
-}
-
-// relabelPf rewrites the "<...>/<prefetch>" suffix the CG/MMP/Cholesky
-// section labels carry to this cell's prefetch policy, so a row stored
-// by an identical cell renders (and registers counters) exactly as if
-// this cell had executed.
-func relabelPf(pf core.PrefetchPolicy) func(string) string {
-	suffix := pf.String()
-	return func(label string) string {
-		if i := strings.LastIndexByte(label, '/'); i >= 0 {
-			return label[:i+1] + suffix
-		}
-		return label
-	}
-}
-
-// constLabel relabels every stored row to a fixed label (families whose
-// cells label rows by the knob being swept).
-func constLabel(l string) func(string) string {
-	return func(string) string { return l }
 }
 
 // cgKey identifies the reference stream of one CG cell: the problem, the

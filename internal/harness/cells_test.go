@@ -147,11 +147,10 @@ func sweepAll(t *testing.T, alone bool) (text, counters string, reused int) {
 }
 
 // TestTraceCacheSweepIdentity: `sweep -exp all -fast` in one process
-// reaches identical cells from different families — the scheduler's
+// reaches identical cells from different families: the scheduler's
 // in-order cell is the page-policy family's open-page cell and the
-// superscalar family's width-1 cell — through different relabel
-// functions. Its text and counters must be byte-identical to running
-// each family alone from an empty memo.
+// superscalar family's width-1 cell. Its text and counters must be
+// byte-identical to running each family alone from an empty memo.
 func TestTraceCacheSweepIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every sweep family twice; run without -short")

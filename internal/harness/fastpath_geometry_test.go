@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"impulse/internal/cache"
 	"impulse/internal/core"
 	"impulse/internal/obs"
 	"impulse/internal/sim"
@@ -11,11 +10,9 @@ import (
 )
 
 // TestFastPathL1GeometryIdentity runs tiny CG and MMP n=64 with the fast
-// path on and off on two L1 geometries no experiment builds: a 2-way
-// virtually indexed L1, whose fast table probes the ways of a set and
-// applies the L1's LRU update, and a physically indexed L1, which runs
-// the reference path with the fast path on. Every returned result, row
-// and trace event must match.
+// path on and off on an L1 geometry no experiment builds: a 2-way L1,
+// whose fast table probes the ways of a set and applies the L1's LRU
+// update. Every returned result, row and trace event must match.
 func TestFastPathL1GeometryIdentity(t *testing.T) {
 	par := workloads.CGParams{N: 240, Nonzer: 4, Niter: 1, CGIts: 2, Shift: 10, RCond: 0.1}
 	a := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
@@ -45,58 +42,45 @@ func TestFastPathL1GeometryIdentity(t *testing.T) {
 		{"mmp-tile-copy", core.Conventional, core.PrefetchNone, mm(workloads.MMPCopyTiled)},
 		{"mmp-tile-remap", core.Impulse, core.PrefetchBoth, mm(workloads.MMPTileRemap)},
 	}
-	geometries := []struct {
-		name string
-		edit func(c *cache.Config)
-		fast bool // whether the fast table serves hits with the fast path on
-	}{
-		{"2way-vipt", func(c *cache.Config) { c.Ways = 2 }, true},
-		{"pipt", func(c *cache.Config) { c.VirtualIndex = false }, false},
-	}
-	for _, g := range geometries {
-		for _, r := range runs {
-			t.Run(g.name+"/"+r.name, func(t *testing.T) {
-				run := func(disable bool) (outcome, []sim.TraceEvent, uint64) {
-					cfg := sim.DefaultConfig()
-					g.edit(&cfg.L1)
-					cfg.DisableFastPath = disable
-					s, err := core.NewSystem(core.Options{Controller: r.kind, Prefetch: r.pf, Config: &cfg})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer s.ReleaseBuffers()
-					h := obs.New(obs.Config{})
-					s.AttachObs(h)
-					var events []sim.TraceEvent
-					s.SetTracer(func(e sim.TraceEvent) { events = append(events, e) })
-					out, err := r.exec(s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					hits, _ := h.Reg().Value("sim.fast.hits")
-					return out, events, hits
+	for _, r := range runs {
+		t.Run("2way-vipt/"+r.name, func(t *testing.T) {
+			run := func(disable bool) (outcome, []sim.TraceEvent, uint64) {
+				cfg := sim.DefaultConfig()
+				cfg.L1.Ways = 2
+				cfg.DisableFastPath = disable
+				s, err := core.NewSystem(core.Options{Controller: r.kind, Prefetch: r.pf, Config: &cfg})
+				if err != nil {
+					t.Fatal(err)
 				}
-				on, onEvents, hits := run(false)
-				off, offEvents, _ := run(true)
-				if g.fast && hits == 0 {
-					t.Error("no access committed on the fast table")
+				defer s.ReleaseBuffers()
+				h := obs.New(obs.Config{})
+				s.AttachObs(h)
+				var events []sim.TraceEvent
+				s.SetTracer(func(e sim.TraceEvent) { events = append(events, e) })
+				out, err := r.exec(s)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !g.fast && hits != 0 {
-					t.Errorf("%d accesses committed on the fast table of a physically indexed L1", hits)
+				hits, _ := h.Reg().Value("sim.fast.hits")
+				return out, events, hits
+			}
+			on, onEvents, hits := run(false)
+			off, offEvents, _ := run(true)
+			if hits == 0 {
+				t.Error("no access committed on the fast table")
+			}
+			if on != off {
+				t.Errorf("returned result differs:\nfast on  %+v\nfast off %+v", on, off)
+			}
+			if len(onEvents) != len(offEvents) {
+				t.Fatalf("fast path on emitted %d trace events, off %d", len(onEvents), len(offEvents))
+			}
+			for i := range offEvents {
+				if onEvents[i] != offEvents[i] {
+					t.Fatalf("trace event %d of %d differs:\nfast on  %+v\nfast off %+v",
+						i, len(offEvents), onEvents[i], offEvents[i])
 				}
-				if on != off {
-					t.Errorf("returned result differs:\nfast on  %+v\nfast off %+v", on, off)
-				}
-				if len(onEvents) != len(offEvents) {
-					t.Fatalf("fast path on emitted %d trace events, off %d", len(onEvents), len(offEvents))
-				}
-				for i := range offEvents {
-					if onEvents[i] != offEvents[i] {
-						t.Fatalf("trace event %d of %d differs:\nfast on  %+v\nfast off %+v",
-							i, len(offEvents), onEvents[i], offEvents[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -15,9 +15,7 @@ import (
 // conventional CG workload runs across L2 capacities, reporting
 // how the paper's conventional-system hit-ratio profile depends on cache
 // geometry. It locates the paper's operating point (multiplicand bigger
-// than L1, smaller than L2) on the capacity curve. L2 capacity is pure
-// timing, so every size shares one stream key and executes as its own
-// cell.
+// than L1, smaller than L2) on the capacity curve.
 func CacheGeometrySweep(ctx context.Context, par workloads.CGParams, l2Sizes []uint64, w io.Writer) error {
 	m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 	wantZeta, wantRNorm := workloads.RefCG(m, par)
@@ -30,9 +28,8 @@ func CacheGeometrySweep(ctx context.Context, par workloads.CGParams, l2Sizes []u
 		cfg := sim.DefaultConfig()
 		cfg.L2.Bytes = l2Sizes[i]
 		return cellSpec{
-			key:     cgKey(par, workloads.CGConventional, &cfg),
-			opts:    core.Options{Controller: core.Conventional, Config: &cfg},
-			relabel: relabelPf(core.PrefetchNone),
+			key:  cgKey(par, workloads.CGConventional, &cfg),
+			opts: core.Options{Controller: core.Conventional, Config: &cfg},
 			exec: func(s *core.System) (core.Row, error) {
 				res, err := workloads.RunCG(s, par, workloads.CGConventional, m)
 				if err != nil {

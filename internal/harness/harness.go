@@ -104,8 +104,6 @@ func Table1(ctx context.Context, par workloads.CGParams, progress Progress) (*Gr
 	g := &Grid{Title: fmt.Sprintf("Table 1: NAS conjugate gradient (n=%d, nnz=%d, %d CG iterations)",
 		par.N, m.NNZ(), par.Niter*par.CGIts)}
 	nc := len(prefetchColumns)
-	// The four prefetch columns of a section share one reference stream
-	// (the stream key) and differ in their cell identity.
 	rows, err := runCells(ctx, len(sections)*nc, func(idx int) cellSpec {
 		sec, ci := sections[idx/nc], idx%nc
 		pf := prefetchColumns[ci]
@@ -118,7 +116,6 @@ func Table1(ctx context.Context, par workloads.CGParams, progress Progress) (*Gr
 				Controller: controllerFor(sec.mode != workloads.CGConventional, pf),
 				Prefetch:   pf,
 			},
-			relabel: relabelPf(pf),
 			exec: func(s *core.System) (core.Row, error) {
 				res, err := workloads.RunCG(s, par, sec.mode, m)
 				if err != nil {
@@ -175,7 +172,6 @@ func Table2(ctx context.Context, par workloads.MMPParams, progress Progress) (*G
 				Controller: controllerFor(sec.mode == workloads.MMPTileRemap, pf),
 				Prefetch:   pf,
 			},
-			relabel: relabelPf(pf),
 			exec: func(s *core.System) (core.Row, error) {
 				res, err := workloads.RunMMP(s, par, sec.mode)
 				if err != nil {

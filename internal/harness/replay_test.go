@@ -95,7 +95,7 @@ func TestVectorReplayTable2Identity(t *testing.T) {
 // geometry executed twice and then reused, and requires identical
 // rendered output and counters — covering every runCells call site
 // (scheduler, prefetch-buffer, gather-stride, spark, superscalar,
-// page-policy, cache-geometry) and each one's relabel function, plus the
+// page-policy, cache-geometry) and each one's reused rows, plus the
 // families whose cells do not go through the memo and must be unaffected
 // by it.
 func TestVectorReplayFamiliesIdentity(t *testing.T) {

@@ -25,8 +25,6 @@ import (
 func SchedulerAblation(ctx context.Context, par workloads.CGParams, w io.Writer) error {
 	m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 	orders := []dram.Order{dram.InOrder, dram.RowMajor}
-	// The scheduler is pure timing: both orders share one reference
-	// stream (and share it with any other sweep at these CG parameters).
 	rows, err := runCells(ctx, len(orders), func(i int) cellSpec {
 		cfg := sim.DefaultConfig()
 		cfg.MC.Order = orders[i]
@@ -37,7 +35,6 @@ func SchedulerAblation(ctx context.Context, par workloads.CGParams, w io.Writer)
 				Prefetch:   core.PrefetchMC,
 				Config:     &cfg,
 			},
-			relabel: relabelPf(core.PrefetchMC),
 			exec: func(s *core.System) (core.Row, error) {
 				res, err := workloads.RunCG(s, par, workloads.CGScatterGather, m)
 				if err != nil {
@@ -78,15 +75,11 @@ func schedulerAdversarial(ctx context.Context, w io.Writer) error {
 		order := orders[i]
 		cfg := sim.DefaultConfig()
 		cfg.MC.Order = order
-		// The gather's index pattern is computed from the DRAM geometry,
-		// so the geometry belongs in the stream key; the scheduler order
-		// itself is pure timing and both cells share one trace.
 		key := fmt.Sprintf("sched-adv-e%d-line%d-banks%d-row%d-%s",
 			elems, cfg.DRAM.LineBytes, cfg.DRAM.Banks, cfg.DRAM.RowBytes, streamSig(&cfg))
 		return cellSpec{
-			key:     key,
-			opts:    core.Options{Controller: core.Impulse, Config: &cfg},
-			relabel: constLabel(order.String()),
+			key:  key,
+			opts: core.Options{Controller: core.Impulse, Config: &cfg},
 			exec: func(s *core.System) (core.Row, error) {
 				// Consecutive elements alternate between two rows of the same
 				// bank: even elements walk one row region in same-bank line
@@ -235,7 +228,6 @@ func PrefetchBufferSweep(ctx context.Context, sizes []uint64, w io.Writer) error
 	for i, size := range sizes {
 		cols[i] = fmt.Sprintf("%dB", size)
 	}
-	// SRAM capacity is pure timing: every size shares one stream.
 	rows, err := runCells(ctx, len(sizes), func(i int) cellSpec {
 		cfg := sim.DefaultConfig()
 		cfg.MC.SRAMBytes = sizes[i]
@@ -247,7 +239,6 @@ func PrefetchBufferSweep(ctx context.Context, sizes []uint64, w io.Writer) error
 				Prefetch:   core.PrefetchMC,
 				Config:     &cfg,
 			},
-			relabel: constLabel(cols[i]),
 			exec: func(s *core.System) (core.Row, error) {
 				bases := make([]addr.VAddr, streams)
 				for j := range bases {
@@ -294,8 +285,6 @@ func GatherStrideSweep(ctx context.Context, strides []int, elems int, w io.Write
 		cols[i] = fmt.Sprintf("stride %d", stride)
 	}
 	// Task order matches the serial loop: stride-major, no-prefetch first.
-	// The stride shapes the indirection vector (the reference stream);
-	// the prefetch pair at each stride shares one trace.
 	rows, err := runCells(ctx, 2*len(strides), func(idx int) cellSpec {
 		i, pf := idx/2, idx%2 == 1
 		stride := strides[i]
@@ -410,8 +399,6 @@ func SparkExperiment(ctx context.Context, nodesX, nodesY, iters int, w io.Writer
 		{core.Impulse, core.PrefetchNone, true},
 		{core.Impulse, core.PrefetchMC, true},
 	}
-	// The conventional cell and the two gather cells issue different
-	// streams; the gather pair (with and without prefetch) shares one.
 	rows, err := runCells(ctx, len(configs), func(i int) cellSpec {
 		gather := configs[i].gather
 		key := fmt.Sprintf("spark-x%d-y%d-it%d-g%v-%s", nodesX, nodesY, iters, gather, streamSig(nil))
@@ -462,8 +449,6 @@ func SuperscalarExperiment(ctx context.Context, par workloads.CGParams, widths [
 		cols[i] = fmt.Sprintf("width %d", width)
 	}
 	// Task order matches the serial loop: width-major, conventional first.
-	// Issue width only rescales Tick batches, so every width of a mode
-	// shares that mode's stream key.
 	rows, err := runCells(ctx, 2*len(widths), func(idx int) cellSpec {
 		width, impulse := widths[idx/2], idx%2 == 1
 		cfg := sim.DefaultConfig()
@@ -475,9 +460,8 @@ func SuperscalarExperiment(ctx context.Context, par workloads.CGParams, widths [
 			mode = workloads.CGScatterGather
 		}
 		return cellSpec{
-			key:     cgKey(par, mode, &cfg),
-			opts:    opt,
-			relabel: relabelPf(opt.Prefetch),
+			key:  cgKey(par, mode, &cfg),
+			opts: opt,
 			exec: func(s *core.System) (core.Row, error) {
 				res, err := workloads.RunCG(s, par, mode, m)
 				if err != nil {
@@ -515,14 +499,12 @@ func SuperscalarExperiment(ctx context.Context, par workloads.CGParams, widths [
 func PagePolicyAblation(ctx context.Context, par workloads.CGParams, w io.Writer) error {
 	m := workloads.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 	policies := []dram.PagePolicy{dram.OpenPage, dram.ClosedPage}
-	// Row management is pure timing: both policies share one stream.
 	rows, err := runCells(ctx, len(policies), func(i int) cellSpec {
 		cfg := sim.DefaultConfig()
 		cfg.DRAM.Policy = policies[i]
 		return cellSpec{
-			key:     cgKey(par, workloads.CGScatterGather, &cfg),
-			opts:    core.Options{Controller: core.Impulse, Prefetch: core.PrefetchMC, Config: &cfg},
-			relabel: relabelPf(core.PrefetchMC),
+			key:  cgKey(par, workloads.CGScatterGather, &cfg),
+			opts: core.Options{Controller: core.Impulse, Prefetch: core.PrefetchMC, Config: &cfg},
 			exec: func(s *core.System) (core.Row, error) {
 				res, err := workloads.RunCG(s, par, workloads.CGScatterGather, m)
 				if err != nil {

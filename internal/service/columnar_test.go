@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"impulse/internal/colres"
 	"impulse/internal/harness"
@@ -55,6 +56,9 @@ func columnarExec(blob []byte) func(context.Context, Spec, harness.Progress) (*R
 	}
 }
 
+// submitAndWait submits spec and waits until finishJob has filed the
+// finished job in the archive LRU and trimmed it, which happens just
+// after the job reads done.
 func submitAndWait(t *testing.T, s *Service, spec Spec) *Job {
 	t.Helper()
 	j, _, err := s.Submit(spec)
@@ -62,7 +66,17 @@ func submitAndWait(t *testing.T, s *Service, spec Spec) *Job {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateDone)
-	return j
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		_, filed := s.archived[j.ID]
+		s.mu.Unlock()
+		if filed {
+			return j
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s done but never filed in the archive", j.ID)
+		}
+	}
 }
 
 // TestResultServedFromMappedBlob is the zero-copy pin: a cache hit's

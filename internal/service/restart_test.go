@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"impulse/internal/colres"
@@ -178,5 +180,137 @@ func TestRecoveryRespectsCacheBounds(t *testing.T) {
 	files, _ := filepath.Glob(filepath.Join(dir, "*"+store.BlobExt))
 	if len(files) != 3 {
 		t.Errorf("%d blob files on disk after bounded recovery, want 3", len(files))
+	}
+}
+
+// TestRecoveryKeepsOversizedFreshest: the byte budget exempts the
+// freshest result live, and a restart on the same directory applies the
+// same policy, so a result larger than CacheBytes that the live daemon
+// serves is still served, unexecuted, after the restart.
+func TestRecoveryKeepsOversizedFreshest(t *testing.T) {
+	dir := t.TempDir()
+	blob := colres.Encode(testGridDoc())
+	cfg := Config{Executors: 1, ArchiveDir: dir, CacheBytes: int64(len(blob)) - 1}
+	s1 := New(cfg)
+	s1.executeFn = columnarExec(blob)
+	j := submitAndWait(t, s1, diagSpec(64))
+	if again, deduped, err := s1.Submit(diagSpec(64)); err != nil || !deduped || again != j {
+		t.Fatalf("live daemon did not serve its oversized result (deduped=%v err=%v)", deduped, err)
+	}
+	s1.Close()
+
+	s2 := New(cfg)
+	s2.executeFn = func(ctx context.Context, spec Spec, progress harness.Progress) (*Result, error) {
+		t.Error("restarted daemon re-executed the result the live daemon kept")
+		return nil, fmt.Errorf("must not run")
+	}
+	defer s2.Close()
+	if got := s2.cRecovered.Load(); got != 1 {
+		t.Fatalf("recovered %d entries, want 1", got)
+	}
+	j2, deduped, err := s2.Submit(diagSpec(64))
+	if err != nil || !deduped {
+		t.Fatalf("oversized freshest result not served after restart (deduped=%v err=%v)", deduped, err)
+	}
+	if res := j2.Result(); res == nil || !bytes.Equal(res.Output, blob) {
+		t.Fatal("recovered oversized result is not byte-identical")
+	}
+}
+
+// TestRecoveryRespectsByteBudget: archived bytes beyond CacheBytes at
+// restart are evicted oldest first, files unlinked, by the trim the live
+// daemon runs after every job.
+func TestRecoveryRespectsByteBudget(t *testing.T) {
+	dir := t.TempDir()
+	blob := colres.Encode(testGridDoc())
+	s1 := New(Config{Executors: 1, ArchiveDir: dir})
+	s1.executeFn = columnarExec(blob)
+	var hashes []string // oldest first
+	for i := 0; i < 4; i++ {
+		hashes = append(hashes, submitAndWait(t, s1, diagSpec(300+i)).Hash)
+	}
+	s1.Close()
+
+	// Room for two and a half blobs: the two newest stay.
+	s2 := New(Config{Executors: 1, ArchiveDir: dir, CacheBytes: int64(5 * len(blob) / 2)})
+	defer s2.Close()
+	if got := s2.cRecovered.Load(); got != 2 {
+		t.Fatalf("recovered %d entries, want 2", got)
+	}
+	if got, want := s2.gCacheBytes.Load(), uint64(2*len(blob)); got != want {
+		t.Errorf("service.result_cache_bytes = %d after restart, want %d", got, want)
+	}
+	for i, h := range hashes {
+		kept := i >= 2
+		s2.mu.Lock()
+		_, cached := s2.byHash[h]
+		s2.mu.Unlock()
+		if cached != kept {
+			t.Errorf("entry %d (of 4, oldest first): cached=%v, want %v", i, cached, kept)
+		}
+		for _, ext := range []string{store.BlobExt, store.MetaExt} {
+			_, err := os.Stat(filepath.Join(dir, h+ext))
+			if onDisk := err == nil; onDisk != kept {
+				t.Errorf("entry %d (of 4, oldest first): %s on disk=%v, want %v", i, ext, onDisk, kept)
+			}
+		}
+	}
+}
+
+// TestJobsNewestFirstAcrossRestart: GET /v1/jobs lists newest submission
+// first. Recovered jobs keep their original submission time, so a job
+// submitted after the restart leads, then the recovered ones, newest
+// first.
+func TestJobsNewestFirstAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	exec := columnarExec(colres.Encode(testGridDoc()))
+	s1 := New(Config{Executors: 1, ArchiveDir: dir})
+	s1.executeFn = exec
+	older := submitAndWait(t, s1, diagSpec(64)).Hash
+	newer := submitAndWait(t, s1, diagSpec(65)).Hash
+	s1.Close()
+
+	s2 := New(Config{Executors: 1, ArchiveDir: dir})
+	s2.executeFn = exec
+	defer s2.Close()
+	fresh := submitAndWait(t, s2, diagSpec(66))
+	ts := httptest.NewServer(s2.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct{ Jobs []JobStatus }
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, st := range list.Jobs {
+		got = append(got, st.ID+" "+st.Hash)
+	}
+	want := []string{fresh.ID + " " + fresh.Hash, "r-000002 " + newer, "r-000001 " + older}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Fatalf("GET /v1/jobs order:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestEvictionUnlinksEmptyResult: evicting a result whose archived blob
+// is empty unlinks its files like any other, so a restart does not
+// recover what the live daemon evicted.
+func TestEvictionUnlinksEmptyResult(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{Executors: 1, ArchiveDir: dir, CacheSize: 1})
+	s.executeFn = func(ctx context.Context, spec Spec, progress harness.Progress) (*Result, error) {
+		return &Result{MIME: "text/plain"}, nil
+	}
+	defer s.Close()
+	evicted := submitAndWait(t, s, diagSpec(100))
+	submitAndWait(t, s, diagSpec(101))
+	for _, ext := range []string{store.BlobExt, store.MetaExt} {
+		if _, err := os.Stat(filepath.Join(dir, evicted.Hash+ext)); !os.IsNotExist(err) {
+			t.Errorf("evicted empty result left its %s file on disk (err=%v)", ext, err)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"time"
 
 	"impulse/internal/colres"
@@ -104,8 +105,9 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job, deduped, err := s.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		retry := s.retryAfter()
+		w.Header().Set("Retry-After", strconv.Itoa(retry))
+		writeJSON(w, http.StatusTooManyRequests, map[string]any{"error": err.Error(), "retry_after_s": retry})
 		return
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)

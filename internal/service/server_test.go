@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +126,91 @@ func TestHTTPQueueFull429(t *testing.T) {
 		t.Error("429 without Retry-After")
 	}
 	close(stub.release)
+}
+
+// TestHTTPQueueFullRetryAfter: a 429 prices the backlog from measured
+// run time. Its Retry-After header and retry_after_s both read
+// ceil((queued+1) × run ÷ executors) seconds, or 1 before any job has
+// run, and a client that waits that long is admitted on its first retry.
+func TestHTTPQueueFullRetryAfter(t *testing.T) {
+	const run = 400 * time.Millisecond
+	gate := make(chan struct{})
+	s := New(Config{QueueDepth: 2, Executors: 1})
+	s.executeFn = func(ctx context.Context, spec Spec, progress harness.Progress) (*Result, error) {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		select {
+		case <-time.After(run):
+			return &Result{Output: []byte("ok\n"), MIME: "text/plain"}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := func(n int) string { return fmt.Sprintf(`{"kind":"sim","workload":"diag","n":%d}`, 100+n) }
+	admit := func(n int) *Job {
+		t.Helper()
+		resp, body := postSpec(t, ts, spec(n))
+		var st JobStatus
+		if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &st) != nil {
+			t.Fatalf("submit n=%d: %s %s", n, resp.Status, body)
+		}
+		j, _ := s.Get(st.ID)
+		return j
+	}
+	reject := func(n int) int {
+		t.Helper()
+		resp, body := postSpec(t, ts, spec(n))
+		var m struct {
+			RetryAfter int `json:"retry_after_s"`
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal(body, &m) != nil {
+			t.Fatalf("overflow submit n=%d: %s %s", n, resp.Status, body)
+		}
+		header, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil || header != m.RetryAfter {
+			t.Fatalf("Retry-After %q, body retry_after_s %d: want one integer in both",
+				resp.Header.Get("Retry-After"), m.RetryAfter)
+		}
+		return header
+	}
+
+	// No job has finished yet: job 1 holds the executor at the gate, jobs
+	// 2 and 3 fill the queue.
+	first := admit(1)
+	waitState(t, first, StateRunning)
+	second := admit(2)
+	admit(3)
+	if got := reject(4); got != 1 {
+		t.Fatalf("Retry-After before any run = %d, want 1", got)
+	}
+
+	// Job 1 finishes after one measured run; job 2 takes the executor and
+	// job 5 refills the queue behind job 3.
+	close(gate)
+	waitState(t, first, StateDone)
+	waitState(t, second, StateRunning)
+	admit(5)
+	got := reject(6)
+	s.mu.Lock()
+	measured := s.runS
+	s.mu.Unlock()
+	if measured < run.Seconds() {
+		t.Fatalf("measured run %.3fs, shorter than the executor's %v", measured, run)
+	}
+	if want := int(math.Ceil((2 + 1) * measured / 1)); got != want || got < 2 {
+		t.Fatalf("Retry-After %d, want ceil((2 queued + 1) × %.3fs ÷ 1 executor) = %d", got, measured, want)
+	}
+
+	// A client that waits as told finds room.
+	time.Sleep(time.Duration(got) * time.Second)
+	admit(6)
 }
 
 func TestHTTPBadSpecs(t *testing.T) {

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,6 +299,10 @@ type Service struct {
 	queue    chan *Job
 	seq      int
 	draining bool
+	// runS is the EWMA of the measured wall time, in seconds, of jobs an
+	// executor ran (α = 0.2; the first sample is taken as is). A full
+	// queue's Retry-After is priced from it.
+	runS float64
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -369,13 +375,12 @@ func New(cfg Config) *Service {
 	}
 	s.registerMetrics()
 	if s.arch != nil {
-		// Startup GC first (unlinks crashed-write orphans and trims the
-		// store to the byte budget), then rebuild the result cache from
-		// whatever survived — a rebooted daemon serves yesterday's cache
-		// hits from disk without re-executing anything.
-		if st := s.arch.GC(cfg.CacheBytes); st.Orphans > 0 || st.Evicted > 0 {
-			s.logger.Info("result store GC", "dir", s.arch.Dir(), "orphans", st.Orphans,
-				"evicted", st.Evicted, "freed_bytes", st.FreedBytes, "live_bytes", st.LiveBytes)
+		// Startup GC first (unlinks crashed-write orphans), then rebuild
+		// the result cache from every complete entry — a rebooted daemon
+		// serves yesterday's cache hits from disk without re-executing
+		// anything.
+		if n := s.arch.GC(); n > 0 {
+			s.logger.Info("result store GC", "dir", s.arch.Dir(), "orphans", n)
 		}
 		s.recoverArchived()
 	}
@@ -419,11 +424,12 @@ func (s *Service) Registry() *obs.Registry { return &s.reg }
 
 // recoverArchived rebuilds the completed-result cache from the on-disk
 // store: every complete entry becomes a terminal recovered job ("r-"
-// IDs), registered in the archive LRU oldest-first so eviction order
-// survives the restart. Entries whose sidecar spec no longer hashes to
-// its own key (schema drift, tampering) are dropped rather than served
-// under the wrong identity. Runs once, from New, before the executors
-// start.
+// IDs), registered in the archive LRU oldest-first and trimmed after
+// each one exactly as finishJob trims, so the restarted cache keeps what
+// the live policy would have kept. Entries whose sidecar spec no longer
+// hashes to its own key (schema drift, tampering) are dropped rather
+// than served under the wrong identity. Runs once, from New, before the
+// executors start.
 func (s *Service) recoverArchived() {
 	for _, hash := range s.arch.Hashes() { // oldest SavedAt first
 		b, m, ok := s.arch.Get(hash)
@@ -473,13 +479,15 @@ func (s *Service) recoverArchived() {
 		s.byHash[hash] = j
 		s.archived[j.ID] = s.archive.PushFront(j)
 		s.gCacheBytes.Add(uint64(len(b.Data)))
-		for s.archive.Len() > s.cfg.CacheSize {
-			s.evictOldestLocked()
-		}
+		s.trimLocked()
 		s.mu.Unlock()
-		s.cRecovered.Add(1)
 	}
-	if n := s.cRecovered.Load(); n > 0 {
+	// Count the entries the trim kept: only those are served.
+	s.mu.Lock()
+	n := s.archive.Len()
+	s.mu.Unlock()
+	s.cRecovered.Store(uint64(n))
+	if n > 0 {
 		s.logger.Info("recovered archived results", "dir", s.arch.Dir(), "entries", n,
 			"bytes", s.gCacheBytes.Load())
 	}
@@ -593,14 +601,14 @@ func (s *Service) Jobs() []JobStatus {
 	for i, j := range all {
 		sts[i] = j.Status()
 	}
-	// Sort by ID descending (IDs are zero-padded sequence numbers).
-	for i := 0; i < len(sts); i++ {
-		for k := i + 1; k < len(sts); k++ {
-			if sts[k].ID > sts[i].ID {
-				sts[i], sts[k] = sts[k], sts[i]
-			}
+	// Recovered jobs carry their original submission time, so this
+	// order holds across a restart; IDs break ties.
+	sort.Slice(sts, func(a, b int) bool {
+		if !sts[a].SubmittedAt.Equal(sts[b].SubmittedAt) {
+			return sts[a].SubmittedAt.After(sts[b].SubmittedAt)
 		}
-	}
+		return sts[a].ID > sts[b].ID
+	})
 	return sts
 }
 
@@ -687,6 +695,7 @@ func (s *Service) runJob(j *Job) {
 	runDur := end.Sub(started)
 	j.trace.Phase("running", started, end)
 	s.hRunDur.With(j.Spec.Kind).Observe(uint64(runDur.Microseconds()))
+	s.observeRun(runDur)
 
 	j.mu.Lock()
 	wasCancelled := j.cancelReq
@@ -774,13 +783,20 @@ func (s *Service) finishJob(j *Job, state State, res *Result, errMsg string) {
 		s.byHash[j.Hash] = j
 	}
 	s.archived[j.ID] = s.archive.PushFront(j)
+	s.trimLocked()
+}
+
+// trimLocked is the result cache's one eviction policy, run by finishJob
+// after every job and by recovery after every entry: evict the
+// least-recently-used archived jobs beyond CacheSize, then beyond the
+// CacheBytes byte budget. Blobs are accounted by length, so one giant
+// sweep result evicts many small ones. The freshest entry is exempt from
+// the byte budget — a result must be retrievable at least once. Caller
+// holds s.mu.
+func (s *Service) trimLocked() {
 	for s.archive.Len() > s.cfg.CacheSize {
 		s.evictOldestLocked()
 	}
-	// Byte budget on top of the entry bound: blobs are accounted by
-	// length, so one giant sweep result evicts many small ones. The
-	// freshest entry is exempt — a result must be retrievable at least
-	// once.
 	for s.gCacheBytes.Load() > uint64(s.cfg.CacheBytes) && s.archive.Len() > 1 {
 		s.evictOldestLocked()
 	}
@@ -788,7 +804,8 @@ func (s *Service) finishJob(j *Job, state State, res *Result, errMsg string) {
 
 // evictOldestLocked drops the least-recently-used archived job: its
 // table entries, its byte accounting, and — when it still owns its
-// hash's blob — the on-disk blob. Caller holds s.mu.
+// hash's result — the on-disk entry, even an empty blob's. Caller holds
+// s.mu.
 func (s *Service) evictOldestLocked() {
 	el := s.archive.Back()
 	if el == nil {
@@ -800,13 +817,36 @@ func (s *Service) evictOldestLocked() {
 	delete(s.jobs, old.ID)
 	if s.byHash[old.Hash] == old {
 		delete(s.byHash, old.Hash)
-		if s.arch != nil && old.blobBytes > 0 {
+		if s.arch != nil {
 			s.arch.Remove(old.Hash)
 		}
 	}
 	if old.blobBytes > 0 {
 		s.gCacheBytes.Add(^uint64(old.blobBytes - 1)) // subtract
 	}
+}
+
+// observeRun folds one executed job's wall time into runS.
+func (s *Service) observeRun(d time.Duration) {
+	s.mu.Lock()
+	if s.runS == 0 {
+		s.runS = d.Seconds()
+	} else {
+		s.runS = 0.8*s.runS + 0.2*d.Seconds()
+	}
+	s.mu.Unlock()
+}
+
+// retryAfter is the admission hint a submission rejected with
+// ErrQueueFull carries: roughly how long the queue takes to drain at the
+// measured run time, (queued + 1) × runS ÷ Executors, in whole seconds
+// clamped to [1, 60]. Before any job has run it is 1.
+func (s *Service) retryAfter() int {
+	s.mu.Lock()
+	run := s.runS
+	s.mu.Unlock()
+	sec := float64(len(s.queue)+1) * run / float64(s.cfg.Executors)
+	return int(math.Min(60, math.Max(1, math.Ceil(sec))))
 }
 
 // touchArchived marks a cache-hit job recently used. Caller holds s.mu.

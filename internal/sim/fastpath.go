@@ -79,14 +79,10 @@
 // Controller-buffer interactions happen only on fills, which run the
 // reference path in every case.
 //
-// A physically indexed L1 (cache.Config.VirtualIndex false) runs the
-// reference path, as Config.DisableFastPath does: slot ownership needs
-// the table to be indexed as the L1 is. Nothing builds one: every
-// sim.Config in the tree uses cache.L1Default(), which is virtually
-// indexed. Config.DisableFastPath forces every access through the
-// reference path; the differential tests compare the two end to end.
-// Because a fall from the fast path is exactly the reference path, a
-// killed entry only changes host speed, never a simulated result.
+// Config.DisableFastPath forces every access through the reference
+// path; the differential tests compare the two end to end. Because a
+// fall from the fast path is exactly the reference path, a killed entry
+// only changes host speed, never a simulated result.
 package sim
 
 import (

@@ -60,7 +60,7 @@ type Machine struct {
 	// slot a reference hit or fill reports, killed when that slot's line
 	// changes, and invalidated by generation bump on any
 	// translation-state change. Nil when the fast path is off; fastOn
-	// mirrors !cfg.DisableFastPath on a virtually indexed L1.
+	// mirrors !cfg.DisableFastPath.
 	fastVec      []fastEntry
 	fastSetMask  uint64 // L1 sets - 1
 	fastWays     uint64 // L1 ways
@@ -168,7 +168,7 @@ func New(cfg Config) (*Machine, error) {
 		l1LineMask:    cfg.L1.LineBytes - 1,
 		l2LineMask:    cfg.L2.LineBytes - 1,
 		l1HitLat:      max(cfg.L1.HitCycles, 1),
-		fastOn:        !cfg.DisableFastPath && cfg.L1.VirtualIndex,
+		fastOn:        !cfg.DisableFastPath,
 		blockDisjoint: true,
 	}
 	m.l1HitBucket = obs.BucketIndex(m.l1HitLat, len(st.LoadLatency.Buckets))

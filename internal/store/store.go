@@ -20,10 +20,10 @@
 //     first Get after recovery (entries written by this process skip
 //     the check — we just produced the bytes). A corrupt blob is
 //     dropped and unlinked instead of served.
-//   - GC removes orphaned temp files, sidecar-less blobs, blob-less
-//     sidecars, and then the oldest complete entries beyond the byte
-//     budget. It assumes exclusive ownership of the directory (one
-//     daemon per store dir; fleet shards each get their own).
+//   - GC removes orphaned temp files, sidecar-less blobs and blob-less
+//     sidecars, never a complete entry: eviction is the service LRU's
+//     call. It assumes exclusive ownership of the directory (one daemon
+//     per store dir; fleet shards each get their own).
 //
 // Served blobs are memory-mapped read-only and shared, exactly like the
 // pre-store in-process archive: an entry's pages stay valid for readers
@@ -80,8 +80,10 @@ type Meta struct {
 	// blob is served.
 	BlobBytes  int64  `json:"blob_bytes"`
 	BlobSHA256 string `json:"blob_sha256"`
-	// SavedAt orders entries for GC (oldest evicted first) and recovery
-	// (restored LRU order).
+	// SavedAt orders recovery: Hashes lists entries oldest first, the
+	// order a restarted daemon rebuilds its LRU in. The store knows when
+	// an entry was written, not when it was last used, so the LRU in
+	// internal/service, not the store, decides which entries stay.
 	SavedAt time.Time `json:"saved_at"`
 }
 
@@ -196,7 +198,8 @@ func (s *Store) Len() int {
 }
 
 // Hashes returns every stored hash, oldest SavedAt first — the order a
-// recovering daemon should restore its LRU in.
+// recovering daemon should restore its LRU in; that LRU, in
+// internal/service, decides which of them stay cached.
 func (s *Store) Hashes() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -358,29 +361,17 @@ func (s *Store) Remove(hash string) {
 	os.Remove(s.metaPath(hash))
 }
 
-// GCStats reports what a GC pass did.
-type GCStats struct {
-	// Orphans is how many junk files were unlinked: leftover temp files
-	// from crashed writes, blobs without a sidecar, sidecars without a
-	// blob.
-	Orphans int
-	// Evicted is how many complete entries were removed to fit the byte
-	// budget; FreedBytes their total blob size.
-	Evicted    int
-	FreedBytes int64
-	// LiveBytes is the blob bytes remaining after the pass.
-	LiveBytes int64
-}
-
-// GC removes junk files and then evicts the oldest complete entries
-// until total blob bytes fit budget (budget <= 0 skips the budget
-// pass). Call it at daemon startup, before recovery is served; it
-// assumes no concurrent writer shares the directory.
-func (s *Store) GC(budget int64) GCStats {
-	var st GCStats
+// GC unlinks junk: temp files left by crashed writes, blobs without a
+// sidecar, and sidecars recovery did not index (no blob, a size
+// mismatch, unparseable, or naming another hash). It never removes a
+// complete entry — the in-memory LRU in internal/service decides what
+// stays cached — and returns how many files it removed. Call it at
+// daemon startup, before recovery is served; it assumes no concurrent
+// writer shares the directory.
+func (s *Store) GC() int {
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
-		return st
+		return 0
 	}
 	s.mu.Lock()
 	known := make(map[string]bool, len(s.entries))
@@ -388,51 +379,25 @@ func (s *Store) GC(budget int64) GCStats {
 		known[h] = true
 	}
 	s.mu.Unlock()
+	removed := 0
 	for _, de := range names {
 		name := de.Name()
+		var junk bool
 		switch {
 		case strings.Contains(name, tmpMark):
 			// A temp file from a write that never renamed: the crashed
 			// mid-archive window the recovery tests pin.
-			os.Remove(filepath.Join(s.dir, name))
-			st.Orphans++
+			junk = true
 		case strings.HasSuffix(name, MetaExt):
-			if !known[strings.TrimSuffix(name, MetaExt)] {
-				os.Remove(filepath.Join(s.dir, name))
-				st.Orphans++
-			}
+			junk = !known[strings.TrimSuffix(name, MetaExt)]
 		case strings.HasSuffix(name, BlobExt):
-			if !known[strings.TrimSuffix(name, BlobExt)] {
-				os.Remove(filepath.Join(s.dir, name))
-				st.Orphans++
-			}
+			junk = !known[strings.TrimSuffix(name, BlobExt)]
+		}
+		if junk && os.Remove(filepath.Join(s.dir, name)) == nil {
+			removed++
 		}
 	}
-
-	hashes := s.Hashes() // oldest first
-	var total int64
-	s.mu.Lock()
-	for _, e := range s.entries {
-		total += e.meta.BlobBytes
-	}
-	s.mu.Unlock()
-	if budget > 0 {
-		for _, h := range hashes {
-			if total <= budget {
-				break
-			}
-			m, ok := s.Meta(h)
-			if !ok {
-				continue
-			}
-			s.Remove(h)
-			st.Evicted++
-			st.FreedBytes += m.BlobBytes
-			total -= m.BlobBytes
-		}
-	}
-	st.LiveBytes = total
-	return st
+	return removed
 }
 
 // Writable probes that the directory still accepts writes — the

@@ -138,9 +138,8 @@ func TestCrashMidArchive(t *testing.T) {
 		t.Fatalf("completed entry not byte-identical after crash-restart: ok=%v", ok)
 	}
 
-	st := r.GC(0)
-	if st.Orphans != 2 {
-		t.Fatalf("GC unlinked %d orphans, want 2 (temp file + sidecar-less blob)", st.Orphans)
+	if n := r.GC(); n != 2 {
+		t.Fatalf("GC unlinked %d orphans, want 2 (temp file + sidecar-less blob)", n)
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatal("GC left the orphaned temp file on disk")
@@ -186,40 +185,6 @@ func TestCorruptBlobDropped(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt blob was not unlinked")
-	}
-}
-
-func TestGCByteBudget(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 4; i++ {
-		m := testMeta(fmt.Sprintf("h%d", i), nil)
-		m.SavedAt = time.Unix(int64(100+i), 0).UTC()
-		if _, err := s.Put(bytes.Repeat([]byte{byte(i)}, 1000), m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.GC(2500) // room for 2 of the 4 x 1000-byte blobs
-	if st.Evicted != 2 || st.FreedBytes != 2000 {
-		t.Fatalf("GC evicted %d/%d bytes, want 2/2000", st.Evicted, st.FreedBytes)
-	}
-	if st.LiveBytes != 2000 {
-		t.Fatalf("LiveBytes %d, want 2000", st.LiveBytes)
-	}
-	// The *oldest* entries went.
-	for _, h := range []string{"h0", "h1"} {
-		if _, _, ok := s.Get(h); ok {
-			t.Fatalf("%s survived GC but is older than the survivors", h)
-		}
-	}
-	for _, h := range []string{"h2", "h3"} {
-		if _, _, ok := s.Get(h); !ok {
-			t.Fatalf("%s evicted out of order", h)
-		}
 	}
 }
 
