@@ -24,7 +24,7 @@ bench:
 # bench-json runs the benchmark suite and writes the machine-readable
 # results committed with each PR (name, ns/op, B/op, allocs/op, and the
 # sim-cycles metric). Progress streams to stderr while it runs.
-BENCH_JSON ?= BENCH_PR20.json
+BENCH_JSON ?= BENCH_PR22.json
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 

@@ -3,8 +3,8 @@ package bitutil
 // Table maps uint64 keys to values of type V without Go map hashing or
 // allocation on the hot path. It backs every hot key lookup in the
 // simulator: the processor TLB's key -> entry index, the controller's
-// pseudo-virtual backing page table, the in-flight L1 prefetches and
-// the kernel's process page tables. Open addressing with linear
+// pseudo-virtual backing page table and the kernel's process page
+// tables. Open addressing with linear
 // probing, Fibonacci hashing on the top bits (page and line numbers
 // cluster in the low bits), backward-shift deletion (so lookups never
 // meet tombstones), and growth at half load. It is an exact map: an

@@ -201,13 +201,104 @@ func TestContainsDoesNotTouchState(t *testing.T) {
 	a, b, d := uint64(0), uint64(256), uint64(512)
 	c.Insert(a, a, false, false)
 	c.Insert(b, b, false, false)
-	if !c.Contains(a, a) {
-		t.Fatal("Contains missed present line")
+	if slot, hit := c.Probe(a, a); !hit || slot != 0 {
+		t.Fatalf("Probe of present line = (%d, %v), want (0, true)", slot, hit)
 	}
-	// Contains must not refresh a's LRU position: a is still the victim.
-	ev, _ := c.Insert(d, d, false, false)
-	if ev.LineAddr != a/64 {
-		t.Errorf("Contains disturbed LRU: victim %+v", ev)
+	// A miss reports the LRU victim, a, whose Probe above must not have
+	// refreshed it.
+	slot, hit := c.Probe(d, d)
+	if hit || slot != 0 {
+		t.Fatalf("Probe of absent line = (%d, %v), want (0, false)", slot, hit)
+	}
+	ev, islot := c.Insert(d, d, false, false)
+	if ev.LineAddr != a/64 || islot != slot {
+		t.Errorf("Probe disturbed LRU: victim %+v in slot %d, Probe said %d", ev, islot, slot)
+	}
+}
+
+// wantVictim is the fill slot rule spelled out: the first invalid way of
+// the set indexAddr selects, else the first least recently used way.
+func wantVictim(c *Cache, indexAddr uint64) int {
+	base, set := c.set(indexAddr)
+	victim := -1
+	for i := range set {
+		if !set[i].valid {
+			return base + i
+		}
+		if victim < 0 || set[i].lastUse < set[victim].lastUse {
+			victim = i
+		}
+	}
+	return base + victim
+}
+
+// TestFillMatchesInsert drives two caches of one geometry through the
+// same random stream of lookups, store hits, line flushes and fills with
+// random dirty and prefetched bits. One fills each missing line into the
+// slot its Lookup or Probe reported, the other through Insert. Both must
+// report the same slot and eviction, that slot must be wantVictim's, and
+// both must answer every lookup alike.
+func TestFillMatchesInsert(t *testing.T) {
+	for _, cfg := range []Config{
+		L1Default(),
+		{Name: "4way", Bytes: 4096, LineBytes: 32, Ways: 4, HitCycles: 1},
+	} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			byFill, byInsert := mustNew(t, cfg), mustNew(t, cfg)
+			rng := rand.New(rand.NewSource(7))
+			span := 4 * cfg.Bytes
+			for step := 0; step < 200000; step++ {
+				a := uint64(rng.Int63n(int64(span)))
+				// Alias half the stream to a second index, as a VIPT
+				// cache sees synonyms.
+				idx := a
+				if rng.Intn(2) == 0 {
+					idx = a ^ cfg.Bytes/2
+				}
+				switch rng.Intn(8) {
+				case 0:
+					s1 := byFill.MarkDirty(idx, a)
+					s2 := byInsert.MarkDirty(idx, a)
+					if s1 != s2 {
+						t.Fatalf("step %d: MarkDirty slots %d vs %d", step, s1, s2)
+					}
+				case 1:
+					s1, d1 := byFill.FlushLine(idx, a)
+					s2, d2 := byInsert.FlushLine(idx, a)
+					if s1 != s2 || d1 != d2 {
+						t.Fatalf("step %d: FlushLine (%d,%v) vs (%d,%v)", step, s1, d1, s2, d2)
+					}
+				default:
+					r1 := byFill.Lookup(idx, a)
+					r2 := byInsert.Lookup(idx, a)
+					if r1 != r2 {
+						t.Fatalf("step %d: Lookup %+v vs %+v", step, r1, r2)
+					}
+					if r1.Hit || rng.Intn(4) == 0 {
+						break // a hit, or a store miss that does not allocate
+					}
+					dirty, pf := rng.Intn(2) == 0, rng.Intn(2) == 0
+					slot := r1.Slot
+					if rng.Intn(2) == 0 {
+						var hit bool
+						if slot, hit = byFill.Probe(idx, a); hit || slot != r1.Slot {
+							t.Fatalf("step %d: Probe (%d,%v) after Lookup miss slot %d", step, slot, hit, r1.Slot)
+						}
+					}
+					if want := wantVictim(byFill, idx); slot != want {
+						t.Fatalf("step %d: fill slot %d, want victim %d", step, slot, want)
+					}
+					ev1 := byFill.Fill(slot, a, dirty, pf)
+					ev2, slot2 := byInsert.Insert(idx, a, dirty, pf)
+					if ev1 != ev2 || slot != slot2 {
+						t.Fatalf("step %d: Fill (%+v, %d) vs Insert (%+v, %d)", step, ev1, slot, ev2, slot2)
+					}
+				}
+			}
+			if byFill.ValidLines() != byInsert.ValidLines() {
+				t.Fatalf("valid lines %d vs %d", byFill.ValidLines(), byInsert.ValidLines())
+			}
+		})
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"impulse/internal/colres"
 	"impulse/internal/harness"
@@ -56,9 +55,6 @@ func columnarExec(blob []byte) func(context.Context, Spec, harness.Progress) (*R
 	}
 }
 
-// submitAndWait submits spec and waits until finishJob has filed the
-// finished job in the archive LRU and trimmed it, which happens just
-// after the job reads done.
 func submitAndWait(t *testing.T, s *Service, spec Spec) *Job {
 	t.Helper()
 	j, _, err := s.Submit(spec)
@@ -66,17 +62,7 @@ func submitAndWait(t *testing.T, s *Service, spec Spec) *Job {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateDone)
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.mu.Lock()
-		_, filed := s.archived[j.ID]
-		s.mu.Unlock()
-		if filed {
-			return j
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s done but never filed in the archive", j.ID)
-		}
-	}
+	return j
 }
 
 // TestResultServedFromMappedBlob is the zero-copy pin: a cache hit's
@@ -307,6 +293,42 @@ func TestByteBudgetEviction(t *testing.T) {
 // TestCellEventsStreamChunks: a job whose executor reports finished
 // rows emits "cell" SSE events whose base64 chunks decode back to the
 // reported rows.
+// TestResubmitAfterDoneIsCacheHit pins finishJob's order: a job is
+// filed in the result cache before it reads done, so a resubmission made
+// the moment done closes is a cache hit, never a dedup onto the finished
+// job, and no finished timeline gains a "dedup" mark.
+func TestResubmitAfterDoneIsCacheHit(t *testing.T) {
+	s := New(Config{Executors: 1, CacheSize: 1000})
+	s.executeFn = columnarExec(colres.Encode(testGridDoc()))
+	defer s.Close()
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		spec := diagSpec(1000 + i)
+		j, _, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		again, deduped, err := s.Submit(spec)
+		if err != nil || !deduped || again != j {
+			t.Fatalf("round %d: resubmission = (%v, %v, %v), want the finished job", i, again, deduped, err)
+		}
+		var tr bytes.Buffer
+		if err := j.Trace().WriteJSON(&tr); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(tr.String(), `"dedup"`) {
+			t.Fatalf("round %d: finished job %s gained a dedup mark", i, j.ID)
+		}
+	}
+	if n := s.cDeduped.Load(); n != 0 {
+		t.Errorf("jobs_deduped = %d, want 0", n)
+	}
+	if n := s.cCacheHit.Load(); n != rounds {
+		t.Errorf("jobs_cache_hits = %d, want %d", n, rounds)
+	}
+}
+
 func TestCellEventsStreamChunks(t *testing.T) {
 	rows := []colres.Row{
 		{Label: "alpha/none", Cycles: 1000, Loads: 100, L1: 0.75, AvgLoad: 10.5},

@@ -764,6 +764,20 @@ func (s *Service) finishJob(j *Job, state State, res *Result, errMsg string) {
 			s.gCacheBytes.Add(uint64(len(b.Data)))
 		}
 	}
+	// File the job before it reads done: a resubmission after done is a
+	// cache hit, never a dedup onto a finished job, and the byte budget
+	// holds whenever a job reads done. s.mu is released before finalize
+	// takes j.mu; the two are never nested.
+	s.mu.Lock()
+	if s.inflight[j.Hash] == j {
+		delete(s.inflight, j.Hash)
+	}
+	if state == StateDone {
+		s.byHash[j.Hash] = j
+	}
+	s.archived[j.ID] = s.archive.PushFront(j)
+	s.trimLocked()
+	s.mu.Unlock()
 	j.finalize(state, res, errMsg, now)
 	j.trace.Mark("archived", now)
 	switch state {
@@ -774,16 +788,6 @@ func (s *Service) finishJob(j *Job, state State, res *Result, errMsg string) {
 	case StateCancelled:
 		s.cCancelled.Add(1)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inflight[j.Hash] == j {
-		delete(s.inflight, j.Hash)
-	}
-	if state == StateDone {
-		s.byHash[j.Hash] = j
-	}
-	s.archived[j.ID] = s.archive.PushFront(j)
-	s.trimLocked()
 }
 
 // trimLocked is the result cache's one eviction policy, run by finishJob

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"impulse/internal/addr"
-	"impulse/internal/bitutil"
 	"impulse/internal/bus"
 	"impulse/internal/cache"
 	"impulse/internal/dram"
@@ -37,10 +36,14 @@ type Machine struct {
 
 	l2port timeline.Resource
 
-	// inflight tracks L1 prefetches whose data has not yet arrived:
-	// L1 line address -> arrival time. A demand hit on such a line stalls
-	// until arrival (a "partial hit").
-	inflight bitutil.Table[timeline.Time]
+	// l1Arrive holds, per L1 slot (set-major, like the L1's lines), the
+	// time the data of the line an L1 prefetch last put in that slot
+	// arrives. A demand hit on a prefetched line stalls until then (a
+	// "partial hit"). Only the first demand of a line a prefetch filled
+	// reads it (LookupResult.WasPrefetched), and any later change of the
+	// slot's line (a demand fill, a flush, FlushAll) makes the value
+	// unreachable, so nothing clears it.
+	l1Arrive []timeline.Time
 
 	// blockTLB holds superpage-style block translations that never miss
 	// (the paper's machine maps the kernel this way; Impulse superpages
@@ -172,6 +175,7 @@ func New(cfg Config) (*Machine, error) {
 		blockDisjoint: true,
 	}
 	m.l1HitBucket = obs.BucketIndex(m.l1HitLat, len(st.LoadLatency.Buckets))
+	m.l1Arrive = make([]timeline.Time, cfg.L1.Sets()*cfg.L1.Ways)
 	if m.fastOn {
 		m.fastVec = make([]fastEntry, cfg.L1.Sets()*cfg.L1.Ways)
 		m.fastSetMask = cfg.L1.Sets() - 1
@@ -434,23 +438,22 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	value := m.readValue(p, size)
 
 	// L1 probe (virtually indexed, physically tagged). The fast table
-	// learns the line before any prefetch below can refill its slot.
-	if r := m.L1.Lookup(uint64(v), uint64(p)); r.Hit {
+	// learns the line before any prefetch below can refill its slot. A
+	// miss reports the slot the fill below takes; nothing between here
+	// and fillL1 touches the L1.
+	r := m.L1.Lookup(uint64(v), uint64(p))
+	if r.Hit {
 		m.fastPopulate(v, p, r.Slot)
 		done := m.clock + m.cfg.L1.HitCycles
 		if r.WasPrefetched {
 			m.St.L1PrefetchHits++
-			la := m.L1.LineAddr(uint64(p))
-			if arr, ok := m.inflight.Get(la); ok {
-				if arr > done {
-					done = arr // partial hit: data still in flight
-				}
-				m.inflight.Delete(la)
+			if arr := m.l1Arrive[r.Slot]; arr > done {
+				done = arr // partial hit: data still in flight
 			}
 			// PA 7200-style streaming: consuming a prefetched line
 			// triggers the next prefetch, keeping streams ahead.
 			if m.cfg.L1Prefetch {
-				m.maybeL1Prefetch(v, done)
+				m.maybeL1Prefetch(v, p, done)
 			}
 		}
 		m.St.L1LoadHits++
@@ -469,7 +472,8 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	if m.L2.Lookup(uint64(p), uint64(p)).Hit {
 		_, done := m.l2port.Acquire(missAt, m.cfg.L2.HitCycles)
 		m.St.L2LoadHits++
-		m.fastPopulate(v, p, m.fillL1(v, p, done))
+		m.fillL1(r.Slot, p, done)
+		m.fastPopulate(v, p, r.Slot)
 		m.finishLoad(start, done)
 		if m.tracer != nil {
 			m.traceLoad(v, p, size, start, LevelL2)
@@ -478,7 +482,7 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 			m.obsLoad(start, LevelL2)
 		}
 		if m.cfg.L1Prefetch {
-			m.maybeL1Prefetch(v, done)
+			m.maybeL1Prefetch(v, p, done)
 		}
 		return value
 	}
@@ -486,7 +490,8 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	// L2 miss: memory access through bus and controller.
 	_, probed := m.l2port.Acquire(missAt, m.cfg.L2MissProbeCycles)
 	done := m.memoryFill(p, probed)
-	m.fastPopulate(v, p, m.fillL1(v, p, done))
+	m.fillL1(r.Slot, p, done)
+	m.fastPopulate(v, p, r.Slot)
 	m.St.MemLoads++
 	m.finishLoad(start, done)
 	if m.tracer != nil {
@@ -496,7 +501,7 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 		m.obsLoad(start, LevelMem)
 	}
 	if m.cfg.L1Prefetch {
-		m.maybeL1Prefetch(v, done)
+		m.maybeL1Prefetch(v, p, done)
 	}
 	return value
 }
@@ -550,14 +555,13 @@ func (m *Machine) insertL2(p addr.PAddr, dirty bool, at timeline.Time) {
 	}
 }
 
-// fillL1 installs the L1 line containing p, handling a dirty victim by
-// writing it down to L2 (write-back). It returns the slot the line now
-// occupies, whose fast-table entry it killed.
-func (m *Machine) fillL1(v addr.VAddr, p addr.PAddr, at timeline.Time) int {
-	ev, slot := m.L1.Insert(uint64(v), uint64(p), false, false)
+// fillL1 installs the L1 line containing p in slot, the fill slot its
+// demand's Lookup reported, kills the slot's fast-table entry, and
+// handles a dirty victim by writing it down to L2 (write-back).
+func (m *Machine) fillL1(slot int, p addr.PAddr, at timeline.Time) {
+	ev := m.L1.Fill(slot, uint64(p), false, false)
 	m.fastKill(slot)
 	m.l1Victim(ev, at)
-	return slot
 }
 
 func (m *Machine) l1Victim(ev cache.Eviction, at timeline.Time) {
@@ -583,25 +587,40 @@ func (m *Machine) l1Victim(ev cache.Eviction, at timeline.Time) {
 // the L1: after a demand L1 miss, fetch the following line in the
 // background. The prefetch contends for the L2 port (and the bus on an L2
 // miss), which is how the paper's "L1 prefetching hurts dense matrix
-// product through L2 contention" effect arises. Callers check that the
+// product through L2 contention" effect arises. p is the bus address
+// the demand access at v translated to. Callers check that the
 // prefetcher is on.
-func (m *Machine) maybeL1Prefetch(v addr.VAddr, at timeline.Time) {
+func (m *Machine) maybeL1Prefetch(v addr.VAddr, p addr.PAddr, at timeline.Time) {
 	nv := addr.VAddr((uint64(v) &^ m.l1LineMask) + m.cfg.L1.LineBytes)
 	// Do not walk page tables for a prefetch: translate only within the
 	// same page or via a TLB hit.
 	var np addr.PAddr
 	if nv.PageNum() == v.PageNum() {
-		p, ok := m.K.Translate(nv)
-		if !ok {
-			return
+		if len(m.blockTLB) == 0 {
+			// The demand's translation came from the TLB, the page memo
+			// or the kernel, and the first two only ever hold the
+			// kernel's (a remap flushes the page, a process switch the
+			// whole TLB, and virtual addresses are never reused): the
+			// next line shares p's frame.
+			np = addr.PAddr(uint64(p)&^addr.PageMask | nv.PageOff())
+		} else {
+			// A block entry's bus base need not be page-aligned, so the
+			// demand's frame need not be the kernel's.
+			kp, ok := m.K.Translate(nv)
+			if !ok {
+				return
+			}
+			np = kp
 		}
-		np = p
 	} else if frame, ok := m.TLB.Lookup(nv.PageNum()); ok {
 		np = addr.PAddr(frame<<addr.PageShift | nv.PageOff())
 	} else {
 		return
 	}
-	if m.L1.Contains(uint64(nv), uint64(np)) {
+	// Nothing from here to the fill touches the L1, so the fill takes the
+	// slot the probe found.
+	slot, hit := m.L1.Probe(uint64(nv), uint64(np))
+	if hit {
 		return
 	}
 	if !m.MC.CoversLine(addr.PAddr(uint64(np) &^ m.l2LineMask)) {
@@ -621,10 +640,10 @@ func (m *Machine) maybeL1Prefetch(v addr.VAddr, at timeline.Time) {
 		arrive = m.memoryFill(np, probed)
 	}
 	m.St.L1Prefetches++
-	ev, slot := m.L1.Insert(uint64(nv), uint64(np), false, true)
+	ev := m.L1.Fill(slot, uint64(np), false, true)
 	m.fastKill(slot)
 	m.l1Victim(ev, arrive)
-	m.inflight.Put(m.L1.LineAddr(uint64(np)), arrive)
+	m.l1Arrive[slot] = arrive
 }
 
 // --- Store path ----------------------------------------------------------
@@ -772,7 +791,6 @@ func (m *Machine) ResetCachesUntimed() {
 	m.L2.FlushAll(nil)
 	m.TLB.InvalidateAll()
 	m.MC.InvalidateBuffers()
-	m.inflight.Reset()
 	m.fastInvalidateAll()
 }
 

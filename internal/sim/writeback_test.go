@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"impulse/internal/addr"
@@ -127,8 +128,12 @@ func TestInflightPrefetchPartialHit(t *testing.T) {
 	if m.St.L1Prefetches == 0 {
 		t.Fatal("no prefetch launched")
 	}
+	// The next line shares the demand's L2 line, so the prefetch is an L2
+	// hit on the idle L2 port, issued when the demand completes.
+	arrive := m.Now() + m.Config().L2.HitCycles
 	// Immediately touch the prefetched line: it is L1-resident but the
-	// data may still be in flight; the load must not be a full miss.
+	// data is still in flight; the load must not be a full miss, and it
+	// completes when the prefetch arrives.
 	l1Hits := m.St.L1LoadHits
 	m.Load64(va + addr.VAddr(m.Config().L1.LineBytes))
 	if m.St.L1LoadHits != l1Hits+1 {
@@ -136,6 +141,78 @@ func TestInflightPrefetchPartialHit(t *testing.T) {
 	}
 	if m.St.L1PrefetchHits != 1 {
 		t.Errorf("L1PrefetchHits = %d", m.St.L1PrefetchHits)
+	}
+	if m.Now() != arrive {
+		t.Errorf("partial hit completed at cycle %d, want the prefetch's arrival %d", m.Now(), arrive)
+	}
+}
+
+// TestPrefetchEvictedUnused pins the per-slot arrival time of an L1
+// prefetch whose line leaves its slot before any demand uses it. The
+// prefetch goes to memory, so its arrival lies far ahead. A line demanded
+// into the slot afterwards hits without stalling; the same line prefetched
+// again stalls its hit until the second arrival, not the first.
+func TestPrefetchEvictedUnused(t *testing.T) {
+	l1 := addr.VAddr(DefaultConfig().L1.Bytes)
+	for _, disable := range []bool{false, true} {
+		setup := func(t *testing.T) (*Machine, addr.VAddr, int) {
+			m := testMachineWith(t, func(c *Config) {
+				c.DisableFastPath = disable
+				c.L1Prefetch = true
+			})
+			buf := alloc(t, m, 2*uint64(l1))
+			// b is the first L1 line of an L2 line, so the demand of the
+			// line before it misses L2 and its prefetch of b goes to
+			// memory too. b and b+l1 share an L1 slot, as do b-32 and
+			// b+l1-32; the lines at b+l1-32 and b+l1 are made
+			// L2-resident first.
+			b := buf + 128
+			m.Load64(b + l1 - 32)
+			m.Load64(b + l1)
+			m.Load64(b - 32) // miss; prefetches b into b+l1's slot
+			slot := int(m.L1.SetIndex(uint64(b)))
+			if r := m.l1Arrive[slot]; r <= m.Now()+m.Config().L2.HitCycles {
+				t.Fatalf("prefetch of b arrives at %d, not after an L2 hit from %d", r, m.Now())
+			}
+			return m, b, slot
+		}
+		t.Run(fmt.Sprintf("demand-refill/fastpath-off=%v", disable), func(t *testing.T) {
+			m, b, slot := setup(t)
+			first := m.l1Arrive[slot]
+			m.Load64(b + l1) // L2 hit: evicts the unused prefetch of b
+			if m.Now() >= first {
+				t.Fatalf("refill completed at %d, after the stale arrival %d", m.Now(), first)
+			}
+			start := m.Now()
+			m.Load64(b + l1 + 8)
+			if m.Now() != start+m.Config().L1.HitCycles {
+				t.Errorf("hit on the refilled slot took %d cycles, want %d (no stall until %d)",
+					m.Now()-start, m.Config().L1.HitCycles, first)
+			}
+		})
+		t.Run(fmt.Sprintf("prefetch-again/fastpath-off=%v", disable), func(t *testing.T) {
+			m, b, slot := setup(t)
+			first := m.l1Arrive[slot]
+			m.Load64(b + l1)      // evicts the unused prefetch of b
+			m.Load64(b + l1 - 32) // evicts b-32 from its slot
+			if m.Now() < first {  // let the first prefetch land
+				m.Tick(first - m.Now())
+			}
+			prefetches := m.St.L1Prefetches
+			m.Load64(b - 32) // L2 hit; prefetches b again, an L2 hit too
+			if m.St.L1Prefetches != prefetches+1 {
+				t.Fatal("b was not prefetched again")
+			}
+			second := m.Now() + m.Config().L2.HitCycles
+			if got := m.l1Arrive[slot]; got != second {
+				t.Fatalf("second arrival = %d, want %d", got, second)
+			}
+			m.Load64(b)
+			if m.Now() != second {
+				t.Errorf("hit on the re-prefetched line completed at %d, want the second arrival %d (first was %d)",
+					m.Now(), second, first)
+			}
+		})
 	}
 }
 

@@ -76,8 +76,11 @@ func CGClassTiny() CGParams {
 // n=14000, so the multiplicand vector (112 KB) exceeds the 32 KB L1 but
 // fits the 256 KB L2 — the regime where scatter/gather and recoloring
 // pay off — while nonzeros/row and outer iterations are reduced to keep
-// the cycle count tractable (Class A proper is 2.19 M nonzeros and 2.8 G
-// cycles on the paper's simulator).
+// the cycle count tractable. Class A proper (nonzer=11) generates
+// 1,853,104 nonzeros (TestNPBClassAVerification) and took 2.8 G cycles
+// on the paper's simulator. The paper's "2.19 M nonzeros" is not a
+// generated count: it matches NPB 2.x's array bound for Class A,
+// na·(nonzer+1)² + na·(nonzer+2) = 2,198,000.
 func CGPaperGeometry() CGParams {
 	return CGParams{N: 14000, Nonzer: 7, Niter: 1, CGIts: 25, Shift: 20, RCond: 0.1}
 }

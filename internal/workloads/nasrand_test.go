@@ -191,3 +191,23 @@ func TestNPBClassSVerification(t *testing.T) {
 		t.Errorf("Class S zeta = %.13f, want %.13f (NPB verification value)", zeta, want)
 	}
 }
+
+// TestNPBClassAVerification is the Class A counterpart of the Class S
+// oracle: n=14000, nonzer=11, 15 outer iterations of 25 CG iterations,
+// shift=20. NPB publishes zeta = 17.130235054029 for it, and makea
+// generates 1,853,104 nonzeros at this size.
+func TestNPBClassAVerification(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Class A reference solve")
+	}
+	par := CGParams{N: 14000, Nonzer: 11, Niter: 15, CGIts: 25, Shift: 20, RCond: 0.1}
+	m := MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
+	if m.NNZ() != 1853104 {
+		t.Errorf("Class A nonzeros = %d, want 1853104", m.NNZ())
+	}
+	zeta, _ := RefCG(m, par)
+	const want = 17.130235054029
+	if math.Abs(zeta-want) > 1e-10 {
+		t.Errorf("Class A zeta = %.13f, want %.12f (NPB verification value)", zeta, want)
+	}
+}
