@@ -311,7 +311,7 @@ func cmdResult(args []string) error {
 		path = "/counters"
 	case *format != "":
 		// The daemon renders the view lazily from the archived columns;
-		// -format=columnar streams the raw mapped blob.
+		// -format=columnar streams the raw archived blob.
 		path = "/result?view=" + *format
 	}
 	data, err := fetchResult(fs.Arg(0), path, *wait)

@@ -165,9 +165,8 @@ func (c *Cache) Lookup(indexAddr, paddr uint64) LookupResult {
 // Probe reports the slot holding the line containing paddr (indexed by
 // indexAddr) and true, or the slot a fill of that line would take and
 // false. It touches no state. The fill slot is the first invalid way,
-// else the least recently used one, the slot Insert fills; Fill(slot,
-// ...) after a miss installs the line there, provided nothing changes
-// the set in between.
+// else the least recently used one; Fill(slot, ...) after a miss
+// installs the line there, provided nothing changes the set in between.
 func (c *Cache) Probe(indexAddr, paddr uint64) (slot int, hit bool) {
 	la := c.LineAddr(paddr)
 	if c.cfg.Ways == 1 {
@@ -203,7 +202,7 @@ func (c *Cache) Touch(slot int) {
 // non-prefetched line: LRU state is never read with one way per set.
 func (c *Cache) SetDirty(slot int) { c.lines[slot].dirty = true }
 
-// Eviction describes a victim line displaced by Insert or Fill.
+// Eviction describes a victim line displaced by Fill.
 type Eviction struct {
 	Valid    bool
 	Dirty    bool
@@ -213,30 +212,11 @@ type Eviction struct {
 // PAddr returns the victim's physical byte address.
 func (e Eviction) PAddr(lineBytes uint64) uint64 { return e.LineAddr * lineBytes }
 
-// Insert installs the line containing paddr (indexed by indexAddr),
-// choosing an invalid way or the LRU victim. It returns the eviction (if
-// any) and the global line index (set*ways+way) of the slot the line now
-// occupies. If the line is already present it is refreshed in place (its
-// dirty bit is preserved, ORed with the new one).
-func (c *Cache) Insert(indexAddr, paddr uint64, dirty, prefetched bool) (Eviction, int) {
-	slot, hit := c.Probe(indexAddr, paddr)
-	if !hit {
-		return c.Fill(slot, paddr, dirty, prefetched), slot
-	}
-	// Refresh in place.
-	l := &c.lines[slot]
-	c.clock++
-	l.lastUse = c.clock
-	l.dirty = l.dirty || dirty
-	l.prefetched = l.prefetched && prefetched
-	return Eviction{}, slot
-}
-
 // Fill installs the line containing paddr in slot, a global line index
-// that a Lookup or Probe of that line reported as its miss's fill slot,
-// and returns the line it displaced. It does not search: the caller
-// vouches that the line is absent and that the set has not changed since
-// the probe.
+// that a Lookup, Probe or MarkDirty of that line reported as its miss's
+// fill slot, and returns the line it displaced. It does not search: the
+// caller vouches that the line is absent and that the set has not
+// changed since the probe.
 func (c *Cache) Fill(slot int, paddr uint64, dirty, prefetched bool) Eviction {
 	c.clock++
 	l := &c.lines[slot]
@@ -252,21 +232,27 @@ func (c *Cache) Fill(slot int, paddr uint64, dirty, prefetched bool) Eviction {
 	return ev
 }
 
-// MarkDirty marks the line containing paddr dirty (store hit). It returns
-// the global line index of the line's slot, or -1 if it was absent.
-func (c *Cache) MarkDirty(indexAddr, paddr uint64) int {
+// MarkDirty marks the line containing paddr dirty (store hit) and
+// reports its slot and true. A miss touches nothing and reports, as
+// Probe does, the slot a fill of the line would take and false.
+func (c *Cache) MarkDirty(indexAddr, paddr uint64) (slot int, hit bool) {
 	la := c.LineAddr(paddr)
 	base, set := c.set(indexAddr)
+	victim, oldest := 0, ^uint64(0)
 	for i := range set {
-		if set[i].valid && set[i].lineAddr == la {
-			set[i].dirty = true
+		l := &set[i]
+		if l.valid && l.lineAddr == la {
+			l.dirty = true
 			c.clock++
-			set[i].lastUse = c.clock
-			set[i].prefetched = false
-			return base + i
+			l.lastUse = c.clock
+			l.prefetched = false
+			return base + i, true
+		}
+		if l.lastUse < oldest {
+			victim, oldest = i, l.lastUse
 		}
 	}
-	return -1
+	return base + victim, false
 }
 
 // FlushLine removes the line containing paddr (indexed by indexAddr) and

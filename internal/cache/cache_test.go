@@ -14,6 +14,18 @@ func mustNew(t *testing.T, cfg Config) *Cache {
 	return c
 }
 
+// insert installs the absent line containing paddr as the machine does
+// after a miss: Fill into the slot Probe reports. It returns the
+// eviction and the slot.
+func insert(t *testing.T, c *Cache, indexAddr, paddr uint64, dirty, prefetched bool) (Eviction, int) {
+	t.Helper()
+	slot, hit := c.Probe(indexAddr, paddr)
+	if hit {
+		t.Fatalf("insert of resident line %#x", paddr)
+	}
+	return c.Fill(slot, paddr, dirty, prefetched), slot
+}
+
 func TestDefaultGeometries(t *testing.T) {
 	l1 := L1Default()
 	if l1.Sets() != 1024 { // 32KB / 32B / 1 way
@@ -50,7 +62,7 @@ func TestMissThenHit(t *testing.T) {
 	if c.Lookup(0x1000, 0x1000).Hit {
 		t.Fatal("cold cache hit")
 	}
-	c.Insert(0x1000, 0x1000, false, false)
+	insert(t, c, 0x1000, 0x1000, false, false)
 	if !c.Lookup(0x1000, 0x1000).Hit {
 		t.Fatal("miss after insert")
 	}
@@ -67,14 +79,14 @@ func TestMissThenHit(t *testing.T) {
 func TestDirectMappedConflict(t *testing.T) {
 	c := mustNew(t, L1Default())
 	sz := L1Default().Bytes
-	c.Insert(0x40, 0x40, false, false)
+	insert(t, c, 0x40, 0x40, false, false)
 	// Same index, different tag: must evict.
-	ev, slot := c.Insert(0x40+sz, 0x40+sz, false, false)
+	ev, slot := insert(t, c, 0x40+sz, 0x40+sz, false, false)
 	if !ev.Valid || ev.LineAddr != 0x40/32 {
 		t.Errorf("eviction = %+v", ev)
 	}
 	if slot != 0x40/32 {
-		t.Errorf("Insert reported slot %d, want %d", slot, 0x40/32)
+		t.Errorf("insert reported slot %d, want %d", slot, 0x40/32)
 	}
 	if c.Lookup(0x40, 0x40).Hit {
 		t.Error("conflicting line still present")
@@ -89,15 +101,15 @@ func TestTwoWayLRU(t *testing.T) {
 	c := mustNew(t, cfg)
 	// Set count = 512/64/2 = 4. Lines with same index: stride 256.
 	a, b, d := uint64(0), uint64(256), uint64(512)
-	c.Insert(a, a, false, false)
-	c.Insert(b, b, false, false)
+	insert(t, c, a, a, false, false)
+	insert(t, c, b, b, false, false)
 	c.Lookup(a, a) // a most recently used
-	ev, slot := c.Insert(d, d, false, false)
+	ev, slot := insert(t, c, d, d, false, false)
 	if !ev.Valid || ev.LineAddr != b/64 {
 		t.Errorf("LRU victim = %+v, want line %d", ev, b/64)
 	}
 	if slot != 1 { // set 0, b's way
-		t.Errorf("Insert reported slot %d, want 1", slot)
+		t.Errorf("insert reported slot %d, want 1", slot)
 	}
 	if !c.Lookup(a, a).Hit || !c.Lookup(d, d).Hit || c.Lookup(b, b).Hit {
 		t.Error("LRU state wrong after eviction")
@@ -106,19 +118,19 @@ func TestTwoWayLRU(t *testing.T) {
 
 func TestDirtyEvictionAndFlush(t *testing.T) {
 	c := mustNew(t, L1Default())
-	c.Insert(0x80, 0x80, false, false)
-	if slot := c.MarkDirty(0x80, 0x80); slot != 0x80/32 {
-		t.Fatalf("MarkDirty of present line = slot %d, want %d", slot, 0x80/32)
+	insert(t, c, 0x80, 0x80, false, false)
+	if slot, hit := c.MarkDirty(0x80, 0x80); !hit || slot != 0x80/32 {
+		t.Fatalf("MarkDirty of present line = (%d, %v), want (%d, true)", slot, hit, 0x80/32)
 	}
-	if c.MarkDirty(0xFFFF80, 0xFFFF80) >= 0 {
-		t.Fatal("MarkDirty hit absent line")
+	if slot, hit := c.MarkDirty(0xFFFF80, 0xFFFF80); hit || slot != 0xFFFF80/32%1024 {
+		t.Fatalf("MarkDirty of absent line = (%d, %v), want its fill slot (%d, false)", slot, hit, 0xFFFF80/32%1024)
 	}
 	sz := L1Default().Bytes
-	ev, _ := c.Insert(0x80+sz, 0x80+sz, false, false)
+	ev, _ := insert(t, c, 0x80+sz, 0x80+sz, false, false)
 	if !ev.Dirty {
 		t.Error("dirty victim not reported dirty")
 	}
-	c.Insert(0x80, 0x80, true, false)
+	insert(t, c, 0x80, 0x80, true, false)
 	slot, dirty := c.FlushLine(0x80, 0x80)
 	if slot != 0x80/32 || !dirty {
 		t.Errorf("FlushLine = (%v, %v), want (%d, true)", slot, dirty, 0x80/32)
@@ -132,22 +144,9 @@ func TestDirtyEvictionAndFlush(t *testing.T) {
 	}
 }
 
-func TestInsertRefreshPreservesDirty(t *testing.T) {
-	c := mustNew(t, L2Default())
-	c.Insert(0x100, 0x100, true, false)
-	ev, _ := c.Insert(0x100, 0x100, false, false)
-	if ev.Valid {
-		t.Error("refresh evicted something")
-	}
-	_, dirty := c.FlushLine(0x100, 0x100)
-	if !dirty {
-		t.Error("refresh lost dirty bit")
-	}
-}
-
 func TestPrefetchedBit(t *testing.T) {
 	c := mustNew(t, L1Default())
-	c.Insert(0x200, 0x200, false, true)
+	insert(t, c, 0x200, 0x200, false, true)
 	r := c.Lookup(0x200, 0x200)
 	if !r.Hit || !r.WasPrefetched {
 		t.Errorf("first use of prefetched line: %+v", r)
@@ -167,7 +166,7 @@ func TestVirtualIndexAliasing(t *testing.T) {
 	if c.SetIndex(v1) == c.SetIndex(v2) {
 		t.Fatal("test addresses alias; pick others")
 	}
-	c.Insert(v1, paddr, false, false)
+	insert(t, c, v1, paddr, false, false)
 	if !c.Lookup(v1, paddr).Hit {
 		t.Error("miss under inserting alias")
 	}
@@ -178,8 +177,8 @@ func TestVirtualIndexAliasing(t *testing.T) {
 
 func TestFlushAll(t *testing.T) {
 	c := mustNew(t, L2Default())
-	c.Insert(0, 0, true, false)
-	c.Insert(1<<20, 1<<20, false, false)
+	insert(t, c, 0, 0, true, false)
+	insert(t, c, 1<<20, 1<<20, false, false)
 	var dirtyCount, total int
 	c.FlushAll(func(lineAddr uint64, dirty bool) {
 		total++
@@ -199,8 +198,8 @@ func TestContainsDoesNotTouchState(t *testing.T) {
 	cfg := Config{Name: "t", Bytes: 512, LineBytes: 64, Ways: 2, HitCycles: 1}
 	c := mustNew(t, cfg)
 	a, b, d := uint64(0), uint64(256), uint64(512)
-	c.Insert(a, a, false, false)
-	c.Insert(b, b, false, false)
+	insert(t, c, a, a, false, false)
+	insert(t, c, b, b, false, false)
 	if slot, hit := c.Probe(a, a); !hit || slot != 0 {
 		t.Fatalf("Probe of present line = (%d, %v), want (0, true)", slot, hit)
 	}
@@ -210,7 +209,7 @@ func TestContainsDoesNotTouchState(t *testing.T) {
 	if hit || slot != 0 {
 		t.Fatalf("Probe of absent line = (%d, %v), want (0, false)", slot, hit)
 	}
-	ev, islot := c.Insert(d, d, false, false)
+	ev, islot := insert(t, c, d, d, false, false)
 	if ev.LineAddr != a/64 || islot != slot {
 		t.Errorf("Probe disturbed LRU: victim %+v in slot %d, Probe said %d", ev, islot, slot)
 	}
@@ -233,11 +232,14 @@ func wantVictim(c *Cache, indexAddr uint64) int {
 }
 
 // TestFillMatchesInsert drives two caches of one geometry through the
-// same random stream of lookups, store hits, line flushes and fills with
+// same random stream of lookups, stores, line flushes and fills with
 // random dirty and prefetched bits. One fills each missing line into the
-// slot its Lookup or Probe reported, the other through Insert. Both must
-// report the same slot and eviction, that slot must be wantVictim's, and
-// both must answer every lookup alike.
+// slot its Lookup, Probe or MarkDirty miss reported, and a store's
+// write-allocate fills the line dirty in one step. The other fills
+// through insert (a fresh Probe, then Fill), and its write-allocate is a
+// clean fill then a MarkDirty hit, two LRU clock ticks where the first
+// takes one. Both must report the same slots and evictions, every fill
+// slot must be wantVictim's, and both must answer every lookup alike.
 func TestFillMatchesInsert(t *testing.T) {
 	for _, cfg := range []Config{
 		L1Default(),
@@ -257,10 +259,24 @@ func TestFillMatchesInsert(t *testing.T) {
 				}
 				switch rng.Intn(8) {
 				case 0:
-					s1 := byFill.MarkDirty(idx, a)
-					s2 := byInsert.MarkDirty(idx, a)
-					if s1 != s2 {
-						t.Fatalf("step %d: MarkDirty slots %d vs %d", step, s1, s2)
+					s1, h1 := byFill.MarkDirty(idx, a)
+					s2, h2 := byInsert.MarkDirty(idx, a)
+					if s1 != s2 || h1 != h2 {
+						t.Fatalf("step %d: MarkDirty (%d,%v) vs (%d,%v)", step, s1, h1, s2, h2)
+					}
+					if h1 || rng.Intn(2) == 0 {
+						break // a hit, or a store that does not allocate
+					}
+					if want := wantVictim(byFill, idx); s1 != want {
+						t.Fatalf("step %d: MarkDirty miss slot %d, want victim %d", step, s1, want)
+					}
+					ev1 := byFill.Fill(s1, a, true, false)
+					ev2, slot2 := insert(t, byInsert, idx, a, false, false)
+					if s, hit := byInsert.MarkDirty(idx, a); !hit || s != slot2 {
+						t.Fatalf("step %d: MarkDirty after fill = (%d,%v), want (%d,true)", step, s, hit, slot2)
+					}
+					if ev1 != ev2 || s1 != slot2 {
+						t.Fatalf("step %d: allocate (%+v, %d) vs (%+v, %d)", step, ev1, s1, ev2, slot2)
 					}
 				case 1:
 					s1, d1 := byFill.FlushLine(idx, a)
@@ -275,7 +291,7 @@ func TestFillMatchesInsert(t *testing.T) {
 						t.Fatalf("step %d: Lookup %+v vs %+v", step, r1, r2)
 					}
 					if r1.Hit || rng.Intn(4) == 0 {
-						break // a hit, or a store miss that does not allocate
+						break // a hit, or a miss that does not fill
 					}
 					dirty, pf := rng.Intn(2) == 0, rng.Intn(2) == 0
 					slot := r1.Slot
@@ -289,9 +305,9 @@ func TestFillMatchesInsert(t *testing.T) {
 						t.Fatalf("step %d: fill slot %d, want victim %d", step, slot, want)
 					}
 					ev1 := byFill.Fill(slot, a, dirty, pf)
-					ev2, slot2 := byInsert.Insert(idx, a, dirty, pf)
+					ev2, slot2 := insert(t, byInsert, idx, a, dirty, pf)
 					if ev1 != ev2 || slot != slot2 {
-						t.Fatalf("step %d: Fill (%+v, %d) vs Insert (%+v, %d)", step, ev1, slot, ev2, slot2)
+						t.Fatalf("step %d: Fill (%+v, %d) vs insert (%+v, %d)", step, ev1, slot, ev2, slot2)
 					}
 				}
 			}
@@ -376,7 +392,7 @@ func TestReferenceEquivalence(t *testing.T) {
 		if !got {
 			// Fill on miss: loads only (the L1's write-around policy).
 			if !isStore {
-				c.Insert(a, a, isStore, false)
+				insert(t, c, a, a, isStore, false)
 				ref.insert(a, isStore)
 			}
 		} else if isStore {
@@ -391,15 +407,5 @@ func TestEvictionPAddr(t *testing.T) {
 	ev := Eviction{Valid: true, LineAddr: 5}
 	if ev.PAddr(32) != 160 {
 		t.Errorf("PAddr = %d", ev.PAddr(32))
-	}
-}
-
-func TestInsertRefreshClearsPrefetchOnDemand(t *testing.T) {
-	c := mustNew(t, L1Default())
-	c.Insert(0x100, 0x100, false, true)  // prefetched
-	c.Insert(0x100, 0x100, false, false) // refreshed by a demand fill
-	r := c.Lookup(0x100, 0x100)
-	if !r.Hit || r.WasPrefetched {
-		t.Errorf("refresh did not clear prefetched bit: %+v", r)
 	}
 }

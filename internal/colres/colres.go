@@ -6,9 +6,9 @@
 // so the encoder never seeks — and every human- or machine-facing
 // rendering (Grid JSON, the paper-style text tables, the SVG chart) is
 // a view computed lazily from the columns. The impulsed archive stores
-// these blobs on disk and serves cache hits by memory-mapping them and
-// writing the mapped bytes straight to the response; see docs/RESULTS.md
-// for the byte-level layout and compatibility policy.
+// these blobs on disk and serves cache hits by writing the blob bytes it
+// keeps straight to the response; see docs/RESULTS.md for the
+// byte-level layout and compatibility policy.
 package colres
 
 import (

@@ -311,10 +311,11 @@ func (rt *Router) setHealthy(sh *shard, ok bool) {
 }
 
 // ownerName splits a namespaced job ID "s3.j-000042" into its shard and
-// shard-local halves. ok is false for unprefixed (router-local) IDs.
+// shard-local halves. ok is false for unprefixed (router-local) IDs and
+// for an empty local half, which names no job on the shard.
 func (rt *Router) ownerName(id string) (sh *shard, local string, ok bool) {
 	i := strings.IndexByte(id, '.')
-	if i <= 0 {
+	if i <= 0 || i == len(id)-1 {
 		return nil, "", false
 	}
 	sh = rt.byName[id[:i]]

@@ -19,18 +19,19 @@ import (
 )
 
 // fakeShard is a minimal impulsed stand-in: always ready, records
-// submissions, and answers with configurable status codes — full
-// control for the router-logic tests (the integration tests below use
-// real services).
+// submissions and the path of every request it receives, and answers
+// with configurable status codes — full control for the router-logic
+// tests (the integration tests below use real services).
 type fakeShard struct {
 	srv       *httptest.Server
 	submits   atomic.Uint64
 	reject429 atomic.Bool
 	mu        sync.Mutex
 	hashes    []string
+	paths     []string
 }
 
-func newFakeShard(t *testing.T) *fakeShard {
+func newFakeShard(t testing.TB) *fakeShard {
 	f := &fakeShard{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -65,12 +66,25 @@ func newFakeShard(t *testing.T) *fakeShard {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"id":%q,"state":"done"}`, r.PathValue("id"))
 	})
-	f.srv = httptest.NewServer(mux)
+	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		f.paths = append(f.paths, r.URL.Path)
+		f.mu.Unlock()
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(f.srv.Close)
 	return f
 }
 
-func newTestRouter(t *testing.T, shards []ShardConfig) (*Router, *service.Service) {
+// requests returns the paths of the requests f received from the n-th
+// on.
+func (f *fakeShard) requests(n int) []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.paths[n:]...)
+}
+
+func newTestRouter(t testing.TB, shards []ShardConfig) (*Router, *service.Service) {
 	t.Helper()
 	local := service.New(service.Config{Executors: 1})
 	t.Cleanup(local.Close)

@@ -53,15 +53,6 @@ type Kernel struct {
 	shNext    uint64
 	shTop     uint64
 	shRegions []shadowRegion
-
-	// Last-translation cache in front of the page-table map. Workload
-	// access streams revisit the same page for long runs, so this single
-	// entry absorbs most Translate calls (the processor TLB sits above
-	// this, but TLB misses and kernel-side translations still land
-	// here). Invalidated on any page-table mutation or process switch.
-	ltPage  uint64
-	ltFrame uint64
-	ltOK    bool
 }
 
 // procState is one process's address space.
@@ -298,7 +289,6 @@ func (k *Kernel) MapPage(vpage, frame uint64) error {
 	if old, ok := k.p().pt.Get(vpage); ok {
 		return fmt.Errorf("kernel: virtual page %#x already mapped to frame %d", vpage, old)
 	}
-	k.invalidateLT()
 	k.p().pt.Put(vpage, frame)
 	return nil
 }
@@ -309,7 +299,6 @@ func (k *Kernel) RemapPage(vpage, frame uint64) error {
 	if _, ok := k.p().pt.Get(vpage); !ok {
 		return fmt.Errorf("kernel: virtual page %#x not mapped", vpage)
 	}
-	k.invalidateLT()
 	k.p().pt.Put(vpage, frame)
 	return nil
 }
@@ -324,7 +313,6 @@ func (k *Kernel) MapShadowPage(vpage uint64, shadow addr.PAddr) error {
 	if err := k.shadowAccessible(shadow); err != nil {
 		return err
 	}
-	k.invalidateLT()
 	k.p().pt.Put(vpage, shadow.PageNum())
 	return nil
 }
@@ -340,28 +328,18 @@ func (k *Kernel) RemapToShadow(vpage uint64, shadow addr.PAddr) error {
 	if err := k.shadowAccessible(shadow); err != nil {
 		return err
 	}
-	k.invalidateLT()
 	k.p().pt.Put(vpage, shadow.PageNum())
 	return nil
 }
 
 // Translate translates a virtual address to a bus address.
 func (k *Kernel) Translate(v addr.VAddr) (addr.PAddr, bool) {
-	page := v.PageNum()
-	if k.ltOK && k.ltPage == page {
-		return addr.PAddr(k.ltFrame<<addr.PageShift | v.PageOff()), true
-	}
-	f, ok := k.p().pt.Get(page)
+	f, ok := k.p().pt.Get(v.PageNum())
 	if !ok {
 		return 0, false
 	}
-	k.ltPage, k.ltFrame, k.ltOK = page, f, true
 	return addr.PAddr(f<<addr.PageShift | v.PageOff()), true
 }
-
-// invalidateLT drops the last-translation cache; every page-table
-// mutation and process switch must call it.
-func (k *Kernel) invalidateLT() { k.ltOK = false }
 
 // TranslatePage returns the frame (or shadow page) number mapped at vpage.
 func (k *Kernel) TranslatePage(vpage uint64) (uint64, bool) {
@@ -495,7 +473,6 @@ func (k *Kernel) SwitchProcess(pid int) error {
 	if !ok {
 		return fmt.Errorf("kernel: no process %d", pid)
 	}
-	k.invalidateLT()
 	k.cur = pid
 	k.curp = ps
 	return nil

@@ -65,16 +65,16 @@ func submitAndWait(t *testing.T, s *Service, spec Spec) *Job {
 	return j
 }
 
-// TestResultServedFromMappedBlob is the zero-copy pin: a cache hit's
-// response body must be the stored blob's bytes served through the
-// memory mapping — no decode, no re-encode. The proof: rewriting the
-// archived file in place changes what the endpoint returns, which is
-// only possible if the response writes mapped file pages rather than
-// any heap copy made at encode or archive time.
-func TestResultServedFromMappedBlob(t *testing.T) {
+// TestResultServedFromArchivedBytes pins what a cache hit serves: the
+// encoded blob's exact bytes with the columnar MIME type — no decode, no
+// re-encode — held by the daemon, not read through the archived file. A
+// rewrite of that file in place, and then its truncation, must change
+// nothing a later hit serves; the store checks a file's digest only when
+// it reads it, and a live result never rereads its file.
+func TestResultServedFromArchivedBytes(t *testing.T) {
 	blob := colres.Encode(testGridDoc())
 	s := New(Config{Executors: 1})
-	s.executeFn = columnarExec(blob)
+	s.executeFn = columnarExec(append([]byte(nil), blob...))
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -103,34 +103,23 @@ func TestResultServedFromMappedBlob(t *testing.T) {
 		t.Fatalf("served %d bytes differ from the encoded blob (%d bytes)", len(got), len(blob))
 	}
 
-	res := j.Result()
-	if res.blob == nil {
-		t.Fatal("done job has no archived blob")
-	}
-	if !res.blob.Mapped {
-		t.Skip("archive blob not memory-mapped on this platform; heap fallback already verified above")
-	}
-	// Rewrite one byte of the archived file. MAP_SHARED mappings see
-	// file writes, so the next response must carry the mutation.
-	f, err := os.OpenFile(res.blob.Path(), os.O_RDWR, 0)
+	path := filepath.Join(s.arch.Dir(), j.Hash+store.BlobExt)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutOff := int64(len(blob) / 2)
-	if _, err := f.WriteAt([]byte{'~'}, mutOff); err != nil {
-		f.Close()
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{'~'}, int64(len(blob)/2)); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	got := get()
-	if bytes.Equal(got, blob) {
-		t.Fatal("response unchanged after rewriting the archived file: serving from a heap copy, not the mapping")
+	if got := get(); !bytes.Equal(got, blob) {
+		t.Error("response changed after the archived file was rewritten in place")
 	}
-	want := append([]byte(nil), blob...)
-	want[mutOff] = '~'
-	if !bytes.Equal(got, want) {
-		t.Error("response is neither the original nor the mutated blob")
+	if err := f.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(); !bytes.Equal(got, blob) {
+		t.Fatal("response changed after the archived file was truncated")
 	}
 }
 
@@ -431,7 +420,7 @@ func TestExecuteStreamsGridCells(t *testing.T) {
 }
 
 // BenchmarkResultServeHit measures a result-cache hit end to end
-// through the HTTP handler: the mmap-served columnar bytes against the
+// through the HTTP handler: the archived columnar bytes against the
 // render-per-hit JSON view (what every hit used to pay before blobs).
 func BenchmarkResultServeHit(b *testing.B) {
 	blob := colres.Encode(testGridDoc())
@@ -461,7 +450,7 @@ func BenchmarkResultServeHit(b *testing.B) {
 			}
 		}
 	}
-	b.Run("columnar-mmap", func(b *testing.B) {
+	b.Run("columnar", func(b *testing.B) {
 		serve(b, ts.URL+"/v1/jobs/"+j.ID+"/result")
 	})
 	b.Run("json-view-rendered", func(b *testing.B) {

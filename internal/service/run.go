@@ -10,7 +10,6 @@ import (
 	"impulse/internal/core"
 	"impulse/internal/harness"
 	"impulse/internal/obs"
-	"impulse/internal/store"
 	"impulse/internal/workloads"
 )
 
@@ -34,22 +33,13 @@ func jobTraceFrom(ctx context.Context) *obs.JobTrace {
 // registry dump for every row the run measured (byte-identical to the
 // CLIs' -counters output). Grid kinds additionally carry Columnar, the
 // encoded columnar result blob the archive stores and every view is
-// rendered from; once archived, Columnar (and, for format "columnar",
-// Output) alias the memory-mapped blob file.
+// rendered from. A Result's byte slices are never modified once the job
+// finishes: the archive keeps the same bytes.
 type Result struct {
 	Output   []byte
 	Counters []byte
 	MIME     string
 	Columnar []byte
-
-	// blob pins the mapped store blob backing Columnar/Output, so the
-	// pages cannot be reclaimed while any reader holds this Result.
-	// Holding means *live*, not in scope: a reader that has loaded
-	// Columnar/Output and no longer touches the Result itself must
-	// runtime.KeepAlive it past the last use of those bytes, or the
-	// blob's munmap finalizer can run under the read (see
-	// internal/store's package comment).
-	blob *store.Blob
 }
 
 // rowChunkKey carries the service's per-cell SSE emitter through
@@ -142,7 +132,11 @@ func Execute(ctx context.Context, spec Spec, progress harness.Progress) (*Result
 	if err := reg.WriteText(&counters); err != nil {
 		return nil, err
 	}
-	return &Result{Output: out.Bytes(), Counters: counters.Bytes(), MIME: mime, Columnar: columnar}, nil
+	output := out.Bytes()
+	if mime == colres.ContentType {
+		output = columnar // the view is the blob: hold its bytes once
+	}
+	return &Result{Output: output, Counters: counters.Bytes(), MIME: mime, Columnar: columnar}, nil
 }
 
 // writeGridView renders one view of an encoded columnar blob. Format

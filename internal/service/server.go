@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -197,15 +196,9 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", res.MIME)
-		// For columnar results Output aliases the memory-mapped archive
-		// blob: this write copies file-backed pages to the socket with no
-		// decode, no re-encode, and no intermediate heap buffer.
+		// For columnar results Output holds the archived blob's bytes: no
+		// decode and no re-encode.
 		_, _ = w.Write(res.Output)
-		// Pin res until the write returns: the slice header alone does
-		// not keep the mapping's finalizer from running (the GC does not
-		// trace the mmap'd region), and Write can block for seconds on a
-		// slow client.
-		runtime.KeepAlive(res)
 	case StateFailed:
 		writeError(w, http.StatusInternalServerError, "job %s failed: %s", j.ID, st.Error)
 	case StateCancelled:
@@ -214,16 +207,11 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeResultView materializes one view of a finished job's columnar
-// result on demand: "columnar" writes the mapped blob bytes verbatim;
+// result on demand: "columnar" writes the archived blob bytes verbatim;
 // "json", "text", and "svg" decode the columns and render. Views exist
 // only for grid results (kinds table1/table2) — other kinds have no
 // columnar payload.
 func (s *Service) writeResultView(w http.ResponseWriter, res *Result, view string) {
-	// Keep the Result — and the mapped archive blob backing Columnar —
-	// alive for the duration of every decode and write below; without
-	// this pin the blob's munmap finalizer may run mid-write once res
-	// itself is no longer referenced (precise liveness, see archive.go).
-	defer runtime.KeepAlive(res)
 	if len(res.Columnar) == 0 {
 		writeError(w, http.StatusBadRequest, "result has no columnar payload (views need kind table1 or table2)")
 		return

@@ -257,8 +257,8 @@ type Config struct {
 	// recent result always stays cached even if it alone exceeds the
 	// budget.
 	CacheBytes int64
-	// ArchiveDir is where result blobs are stored (and memory-mapped
-	// from). Empty means a private temporary directory removed on
+	// ArchiveDir is where result blobs are stored, so they survive a
+	// restart. Empty means a private temporary directory removed on
 	// drain.
 	ArchiveDir string
 	// Logger receives structured job-lifecycle logs (started, finished,
@@ -367,8 +367,8 @@ func New(cfg Config) *Service {
 	}
 	arch, err := store.Open(cfg.ArchiveDir)
 	if err != nil {
-		// Results still flow (heap-backed); only the mmap fast path and
-		// on-disk persistence are lost.
+		// Results still flow from memory; only on-disk persistence is
+		// lost.
 		s.logger.Warn("result store unavailable", "dir", cfg.ArchiveDir, "err", err)
 	} else {
 		s.arch = arch
@@ -443,7 +443,7 @@ func (s *Service) recoverArchived() {
 			s.arch.Remove(hash)
 			continue
 		}
-		res := &Result{Counters: m.Counters, MIME: m.MIME, Output: m.Output, blob: b}
+		res := &Result{Counters: m.Counters, MIME: m.MIME, Output: m.Output}
 		if m.ColumnarBlob {
 			res.Columnar = b.Data
 		}
@@ -721,9 +721,8 @@ func (s *Service) runJob(j *Job) {
 // archive LRU (successful results stay addressable by hash for reuse).
 // A successful job's result is written durably to the on-disk store —
 // blob plus manifest sidecar, enough to rebuild the wire-visible result
-// byte-identically after a restart — and memory-mapped back in before
-// finalize, so every reader — including the first — sees the mapped
-// bytes and cache hits serve straight from the page cache with zero
+// byte-identically after a restart — before finalize. The store keeps
+// the result's own bytes, so cache hits serve them with zero
 // re-encoding.
 func (s *Service) finishJob(j *Job, state State, res *Result, errMsg string) {
 	now := time.Now()
@@ -750,18 +749,11 @@ func (s *Service) finishJob(j *Job, state State, res *Result, errMsg string) {
 			blob = res.Output
 			meta.OutputIsBlob = true
 		}
-		if b, err := s.arch.Put(blob, meta); err != nil {
+		if _, err := s.arch.Put(blob, meta); err != nil {
 			s.logger.Warn("result archive write failed", "job", j.ID, "err", err)
 		} else {
-			if meta.ColumnarBlob {
-				res.Columnar = b.Data
-			}
-			if meta.OutputIsBlob {
-				res.Output = b.Data
-			}
-			res.blob = b
-			j.blobBytes = len(b.Data)
-			s.gCacheBytes.Add(uint64(len(b.Data)))
+			j.blobBytes = len(blob)
+			s.gCacheBytes.Add(uint64(len(blob)))
 		}
 	}
 	// File the job before it reads done: a resubmission after done is a
@@ -888,8 +880,8 @@ func (s *Service) Drain(ctx context.Context) error {
 	}()
 	// The store keeps its files on a caller-provided directory — restart
 	// durability is the point; only a private temp-dir store removes
-	// everything. Established mappings survive either way, so results
-	// fetched after drain still read their pages.
+	// everything. Results live in memory either way, so results fetched
+	// after drain are still served.
 	closeArch := func() {
 		if s.arch != nil && !already {
 			s.arch.Close()

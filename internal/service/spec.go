@@ -35,9 +35,9 @@ type Spec struct {
 	Fast bool `json:"fast,omitempty"`
 
 	// Format is "text" (default, the CLI table rendering), "json" (Grid
-	// JSON), or "columnar" (the raw columnar result blob, served
-	// zero-copy from the archive; see docs/RESULTS.md); kinds "table1"
-	// and "table2" only.
+	// JSON), or "columnar" (the raw columnar result blob, served as the
+	// archive keeps it, with no re-encoding; see docs/RESULTS.md); kinds
+	// "table1" and "table2" only.
 	Format string `json:"format,omitempty"`
 
 	// CG / MMP / figure1 geometry (defaults match the CLI flags).

@@ -175,7 +175,7 @@ func (m *Machine) fastPopulate(v addr.VAddr, p addr.PAddr, slot int) {
 	if dbase&addr.PageMask+m.cfg.L1.LineBytes <= addr.PageSize {
 		page = m.Mem.Page(addr.PAddr(dbase))
 	}
-	// Field by field, not a composite literal (see cache.Insert).
+	// Field by field, not a composite literal (see cache.Fill).
 	e := &m.fastVec[slot]
 	e.vline = vline
 	e.pbase = pbase

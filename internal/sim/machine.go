@@ -467,9 +467,12 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 		return value
 	}
 
-	// L1 miss: probe L2 (physically indexed).
+	// L1 miss: probe L2 (physically indexed). A miss reports the L2 slot
+	// memoryFill takes; nothing between here and that fill touches the
+	// L2.
 	missAt := m.clock + m.cfg.L1.HitCycles
-	if m.L2.Lookup(uint64(p), uint64(p)).Hit {
+	r2 := m.L2.Lookup(uint64(p), uint64(p))
+	if r2.Hit {
 		_, done := m.l2port.Acquire(missAt, m.cfg.L2.HitCycles)
 		m.St.L2LoadHits++
 		m.fillL1(r.Slot, p, done)
@@ -489,7 +492,7 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 
 	// L2 miss: memory access through bus and controller.
 	_, probed := m.l2port.Acquire(missAt, m.cfg.L2MissProbeCycles)
-	done := m.memoryFill(p, probed)
+	done := m.memoryFill(p, probed, r2.Slot, false)
 	m.fillL1(r.Slot, p, done)
 	m.fastPopulate(v, p, r.Slot)
 	m.St.MemLoads++
@@ -526,9 +529,12 @@ func (m *Machine) finishLoad(start, done timeline.Time) {
 }
 
 // memoryFill fetches the L2 line containing p from the memory system,
-// fills L2, and returns the completion time. A demand load then fills L1
-// itself; prefetches and store allocates fill L2 only.
-func (m *Machine) memoryFill(p addr.PAddr, at timeline.Time) timeline.Time {
+// installs it (dirty for a store's write-allocate) in slot, the fill
+// slot its L2 miss reported, writes a dirty victim back with a posted
+// write (bus + controller, non-blocking), and returns the completion
+// time. A demand load then fills L1 itself; prefetches and store
+// allocates fill L2 only.
+func (m *Machine) memoryFill(p addr.PAddr, at timeline.Time, slot int, dirty bool) timeline.Time {
 	lineP := addr.PAddr(uint64(p) &^ m.l2LineMask)
 	reqDone := m.Bus.Request(at)
 	ready, err := m.MC.ReadLine(reqDone, lineP)
@@ -536,23 +542,17 @@ func (m *Machine) memoryFill(p addr.PAddr, at timeline.Time) timeline.Time {
 		panic(fmt.Sprintf("sim: memory fill failed: %v", err))
 	}
 	done := m.Bus.Transfer(ready, m.cfg.L2.LineBytes)
-	m.insertL2(p, false, done)
-	return done
-}
-
-// insertL2 installs the line containing p into L2, handling a dirty
-// victim with a posted write-back (bus + controller, non-blocking).
-func (m *Machine) insertL2(p addr.PAddr, dirty bool, at timeline.Time) {
-	ev, _ := m.L2.Insert(uint64(p), uint64(p), dirty, false)
+	ev := m.L2.Fill(slot, uint64(p), dirty, false)
 	if ev.Valid && ev.Dirty {
 		m.St.L2Writebacks++
 		vp := addr.PAddr(ev.PAddr(m.cfg.L2.LineBytes))
-		req := m.Bus.Request(at)
+		req := m.Bus.Request(done)
 		wbReady := m.Bus.Transfer(req, m.cfg.L2.LineBytes)
 		if _, err := m.MC.WriteLine(wbReady, vp); err != nil {
 			panic(fmt.Sprintf("sim: L2 writeback failed: %v", err))
 		}
 	}
+	return done
 }
 
 // fillL1 installs the L1 line containing p in slot, the fill slot its
@@ -572,7 +572,7 @@ func (m *Machine) l1Victim(ev cache.Eviction, at timeline.Time) {
 	vp := addr.PAddr(ev.PAddr(m.cfg.L1.LineBytes))
 	// The L1 victim's data lands in L2 if present (PIPT probe by its
 	// physical address); otherwise it is written around to memory.
-	if m.L2.MarkDirty(uint64(vp), uint64(vp)) >= 0 {
+	if _, hit := m.L2.MarkDirty(uint64(vp), uint64(vp)); hit {
 		m.l2port.Acquire(at, m.cfg.L2MissProbeCycles)
 		return
 	}
@@ -627,7 +627,7 @@ func (m *Machine) maybeL1Prefetch(v addr.VAddr, p addr.PAddr, at timeline.Time) 
 		return // would run past a remapped region's end
 	}
 	var arrive timeline.Time
-	if m.L2.Lookup(uint64(np), uint64(np)).Hit {
+	if r2 := m.L2.Lookup(uint64(np), uint64(np)); r2.Hit {
 		_, arrive = m.l2port.Acquire(at, m.cfg.L2.HitCycles)
 	} else {
 		// A prefetch that misses L2 would occupy the bus and DRAM; issue
@@ -637,7 +637,7 @@ func (m *Machine) maybeL1Prefetch(v addr.VAddr, p addr.PAddr, at timeline.Time) 
 			return
 		}
 		_, probed := m.l2port.Acquire(at, m.cfg.L2MissProbeCycles)
-		arrive = m.memoryFill(np, probed)
+		arrive = m.memoryFill(np, probed, r2.Slot, false)
 	}
 	m.St.L1Prefetches++
 	ev := m.L1.Fill(slot, uint64(np), false, true)
@@ -684,19 +684,18 @@ func (m *Machine) storeTail(v addr.VAddr, size, val uint64) {
 	p := m.translate(v)
 	m.writeValue(p, size, val)
 
-	if slot := m.L1.MarkDirty(uint64(v), uint64(p)); slot >= 0 {
+	if slot, hit := m.L1.MarkDirty(uint64(v), uint64(p)); hit {
 		m.St.L1StoreHits++
 		m.fastPopulate(v, p, slot)
-	} else if m.L2.MarkDirty(uint64(p), uint64(p)) >= 0 {
+	} else if slot, hit := m.L2.MarkDirty(uint64(p), uint64(p)); hit {
 		m.St.L2StoreHits++
 		m.l2port.Acquire(m.clock+1, m.cfg.L2MissProbeCycles)
 	} else {
 		m.St.MemStores++
 		_, probed := m.l2port.Acquire(m.clock+1, m.cfg.L2MissProbeCycles)
-		// Write-allocate: fetch the line into L2 in the background and
-		// mark it dirty.
-		m.memoryFill(p, probed)
-		m.L2.MarkDirty(uint64(p), uint64(p))
+		// Write-allocate: fetch the line into L2 in the background,
+		// dirty, in the slot the L2 miss reported.
+		m.memoryFill(p, probed, slot, true)
 	}
 	m.St.Instructions++
 	done := m.clock + 1 // issue cycle; any TLB walk already advanced clock
@@ -757,7 +756,7 @@ func (m *Machine) cacheMaint(v addr.VAddr, bytes uint64, writeback bool) {
 		m.fastKill(slot)
 		if dirty && writeback {
 			// Dirty L1 data moves to L2 (or memory) like a victim.
-			if m.L2.MarkDirty(uint64(p), uint64(p)) < 0 {
+			if _, hit := m.L2.MarkDirty(uint64(p), uint64(p)); !hit {
 				req := m.Bus.Request(m.clock)
 				wbReady := m.Bus.Transfer(req, m.cfg.L1.LineBytes)
 				if _, err := m.MC.WriteLine(wbReady, addr.PAddr(uint64(p)&^m.l2LineMask)); err != nil {

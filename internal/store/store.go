@@ -4,8 +4,7 @@
 // the impulsed result cache — the in-memory LRU in internal/service
 // decides *what* stays cached; this package makes whatever is cached
 // outlive the process, so a rebooted daemon serves yesterday's cache
-// hits from disk through the same mmap path without re-executing
-// anything.
+// hits without re-executing anything.
 //
 // Durability contract:
 //
@@ -16,22 +15,19 @@
 //   - Recovery (Open) trusts only hashes with a parseable sidecar whose
 //     recorded blob size matches the file on disk. Everything else is
 //     ignored until GC unlinks it.
-//   - Blob bytes are verified against the sidecar's SHA-256 once, on
-//     first Get after recovery (entries written by this process skip
-//     the check — we just produced the bytes). A corrupt blob is
-//     dropped and unlinked instead of served.
+//   - Blob bytes are read and verified against the sidecar's size and
+//     SHA-256 once, on the first Get after recovery (entries written by
+//     this process skip the check — we just produced the bytes). A
+//     corrupt blob is dropped and unlinked instead of served.
 //   - GC removes orphaned temp files, sidecar-less blobs and blob-less
 //     sidecars, never a complete entry: eviction is the service LRU's
 //     call. It assumes exclusive ownership of the directory (one daemon
 //     per store dir; fleet shards each get their own).
 //
-// Served blobs are memory-mapped read-only and shared, exactly like the
-// pre-store in-process archive: an entry's pages stay valid for readers
-// that hold its Blob even after Remove unlinks the file, and the
-// mapping is released by a finalizer once the Blob is unreachable.
-// Because Go's liveness is precise, any reader holding only a slice of
-// Blob.Data must runtime.KeepAlive whatever pins the Blob past the last
-// use of those bytes (see internal/service).
+// A live entry's bytes sit in the heap, not in the file: once Put has
+// written them or Get has verified them, nothing the file goes through
+// afterwards (a rewrite, a truncation, an unlink) changes what readers
+// holding the Blob see.
 package store
 
 import (
@@ -41,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -87,27 +82,17 @@ type Meta struct {
 	SavedAt time.Time `json:"saved_at"`
 }
 
-// Blob is one stored result blob, mapped when the platform supports it.
+// Blob is one stored result blob.
 type Blob struct {
-	// Data is the blob's bytes: a read-only shared mapping of the file
-	// when Mapped, else a heap copy.
-	Data   []byte
-	Mapped bool
-
-	path  string
-	unmap func() // non-nil iff Mapped
+	// Data is the blob's bytes, verified against the sidecar's size and
+	// SHA-256. Readers must not modify them.
+	Data []byte
 }
-
-// Path returns the file the blob was stored at (the mapping's backing
-// file while it exists — Remove unlinks it without invalidating the
-// mapping).
-func (b *Blob) Path() string { return b.path }
 
 // entry is the store's in-memory record of one hash.
 type entry struct {
-	meta     Meta
-	blob     *Blob // nil until first Get (recovered entries map lazily)
-	verified bool  // blob bytes checked against meta.BlobSHA256
+	meta Meta
+	blob *Blob // verified bytes; nil until a recovered entry's first Get
 }
 
 // Store owns one result-store directory.
@@ -152,7 +137,7 @@ func Open(dir string) (*Store, error) {
 }
 
 // recover indexes complete entries: a parseable sidecar whose blob file
-// exists with the recorded size. Byte content is verified lazily on
+// exists with the recorded size. Byte content is read and verified on
 // first Get; everything recovery rejects is left for GC.
 func (s *Store) recover() error {
 	names, err := os.ReadDir(s.dir)
@@ -242,10 +227,11 @@ func Digest(b []byte) string {
 }
 
 // Put durably stores blob and its sidecar under meta.Hash and returns
-// the blob mapped. Write order is blob-then-sidecar, each temp-file +
-// rename, so a visible sidecar always describes a complete blob. An
-// existing entry for the hash is replaced; mappings held by current
-// readers stay valid.
+// the stored Blob, which keeps blob itself: the caller must not modify
+// those bytes afterwards. Write order is blob-then-sidecar, each
+// temp-file + rename, so a visible sidecar always describes a complete
+// blob. An existing entry for the hash is replaced; Blobs held by
+// current readers keep their bytes.
 func (s *Store) Put(blob []byte, meta Meta) (*Blob, error) {
 	if meta.Hash == "" {
 		return nil, fmt.Errorf("store: Put with empty hash")
@@ -265,9 +251,9 @@ func (s *Store) Put(blob []byte, meta Meta) (*Blob, error) {
 	if err := writeAtomic(s.dir, s.metaPath(meta.Hash), meta.Hash, side); err != nil {
 		return nil, err
 	}
-	b := newBlob(s.blobPath(meta.Hash), blob)
+	b := &Blob{Data: blob}
 	s.mu.Lock()
-	s.entries[meta.Hash] = &entry{meta: meta, blob: b, verified: true}
+	s.entries[meta.Hash] = &entry{meta: meta, blob: b}
 	s.mu.Unlock()
 	return b, nil
 }
@@ -296,25 +282,11 @@ func writeAtomic(dir, path, hash string, data []byte) error {
 	return nil
 }
 
-// newBlob maps path (falling back to the in-memory bytes where mmap is
-// unavailable) and arranges for the mapping to be released when the
-// Blob is collected.
-func newBlob(path string, data []byte) *Blob {
-	b := &Blob{Data: data, path: path}
-	if mapped, unmap, err := mapFile(path, len(data)); err == nil {
-		b.Data, b.Mapped, b.unmap = mapped, true, unmap
-		// The munmap runs under precise liveness: see the package
-		// comment — readers pin the Blob past their last byte access.
-		runtime.SetFinalizer(b, func(b *Blob) { b.unmap() })
-	}
-	return b
-}
-
-// Get returns the blob and sidecar for hash, mapping (and, for entries
-// recovered from a previous process, verifying) it on first use. A
-// recovered blob whose bytes do not match the sidecar digest is
-// dropped and unlinked — a torn or tampered file is a cache miss, not
-// a wrong answer.
+// Get returns the blob and sidecar for hash. A recovered entry's first
+// Get reads its file once and checks the size and SHA-256 the sidecar
+// records; a blob that does not match is dropped and unlinked — a torn
+// or tampered file is a cache miss, not a wrong answer — and one that
+// matches is kept for every later Get.
 func (s *Store) Get(hash string) (*Blob, Meta, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[hash]
@@ -322,37 +294,31 @@ func (s *Store) Get(hash string) (*Blob, Meta, bool) {
 		s.mu.Unlock()
 		return nil, Meta{}, false
 	}
-	if e.blob != nil && e.verified {
+	if e.blob != nil {
 		b, m := e.blob, e.meta
 		s.mu.Unlock()
 		return b, m, true
 	}
 	s.mu.Unlock()
 
-	// Load outside the lock (first touch of a recovered entry; disk IO).
+	// Read outside the lock (first touch of a recovered entry; disk IO).
 	data, err := os.ReadFile(s.blobPath(hash))
 	if err != nil || int64(len(data)) != e.meta.BlobBytes || Digest(data) != e.meta.BlobSHA256 {
 		s.Remove(hash)
 		return nil, Meta{}, false
 	}
-	b := newBlob(s.blobPath(hash), data)
-	// Verify the *mapped* bytes when we got a mapping: the mapping, not
-	// the heap copy, is what readers will be served.
-	if b.Mapped && Digest(b.Data) != e.meta.BlobSHA256 {
-		s.Remove(hash)
-		return nil, Meta{}, false
-	}
+	b := &Blob{Data: data}
 	s.mu.Lock()
 	if cur, ok := s.entries[hash]; ok && cur == e {
-		e.blob, e.verified = b, true
+		e.blob = b
 	}
 	m := e.meta
 	s.mu.Unlock()
 	return b, m, true
 }
 
-// Remove drops hash from the store and unlinks both files. Mappings
-// held by current readers survive the unlink.
+// Remove drops hash from the store and unlinks both files. Blobs held
+// by current readers keep their bytes.
 func (s *Store) Remove(hash string) {
 	s.mu.Lock()
 	delete(s.entries, hash)
@@ -416,8 +382,8 @@ func (s *Store) Writable() error {
 
 // Close releases the in-memory index. A store on a caller-provided
 // directory keeps its files — surviving restart is the point; only a
-// private temp-dir store removes everything. Established mappings are
-// left to their finalizers either way.
+// private temp-dir store removes everything. Blobs held by readers keep
+// their bytes either way.
 func (s *Store) Close() {
 	s.mu.Lock()
 	s.entries = make(map[string]*entry)
@@ -426,7 +392,3 @@ func (s *Store) Close() {
 		os.RemoveAll(s.dir)
 	}
 }
-
-// errMmapUnsupported reports why mapFile is unavailable on this
-// platform (see mmap_fallback.go).
-var errMmapUnsupported = fmt.Errorf("store: mmap unsupported on this platform")

@@ -206,10 +206,67 @@ func TestReplaceKeepsReaders(t *testing.T) {
 	if !bytes.Equal(b2.Data, []byte("version-two!")) {
 		t.Fatalf("Get returned stale bytes after replace: %q", b2.Data)
 	}
-	// The old mapping (held via b1) still reads its original content —
-	// rename replaced the directory entry, not the mapped pages.
+	// The old Blob (b1) still reads its original content.
 	if !bytes.Equal(b1.Data, old) {
-		t.Fatalf("replaced blob's old mapping changed: %q", b1.Data)
+		t.Fatalf("replaced blob's old bytes changed: %q", b1.Data)
+	}
+}
+
+// TestBlobSurvivesFileDamage pins where a live blob's bytes sit: in the
+// store's memory, not in its file. Rewriting a byte of the file in place
+// and then truncating it change nothing a held Blob reads, both for an
+// entry this process Put and for one a reopened store read and verified.
+func TestBlobSurvivesFileDamage(t *testing.T) {
+	dir := t.TempDir()
+	want := bytes.Repeat([]byte("columnar-result-row "), 75) // 1,500 bytes
+	damage := func(t *testing.T, b *Blob) {
+		t.Helper()
+		f, err := os.OpenFile(filepath.Join(dir, "d00d"+BlobExt), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte{'~'}, int64(len(want)/2)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Data, want) {
+			t.Error("held bytes changed when the file was rewritten in place")
+		}
+		if err := f.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Data, want) {
+			t.Error("held bytes changed when the file was truncated")
+		}
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Put(append([]byte(nil), want...), testMeta("d00d", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage(t, b)
+	// Write the entry again, whole, for a reopened store to recover.
+	if _, err := s.Put(append([]byte(nil), want...), testMeta("d00d", nil)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	b, _, ok := r.Get("d00d")
+	if !ok || !bytes.Equal(b.Data, want) {
+		t.Fatalf("reopened store did not serve the entry: ok=%v", ok)
+	}
+	damage(t, b)
+	if b2, _, ok := r.Get("d00d"); !ok || !bytes.Equal(b2.Data, want) {
+		t.Errorf("Get after the file was damaged: ok=%v, bytes equal=%v", ok, ok && bytes.Equal(b2.Data, want))
 	}
 }
 
@@ -225,7 +282,7 @@ func TestWritable(t *testing.T) {
 }
 
 // BenchmarkStoreHitRestart measures the restart-hit path end to end:
-// open a store that another "process" populated, then Get (map +
+// open a store that another "process" populated, then Get (read +
 // verify) and read a cached result — what a rebooted daemon pays to
 // serve yesterday's cache hit without re-executing the experiment.
 func BenchmarkStoreHitRestart(b *testing.B) {
@@ -258,7 +315,7 @@ func BenchmarkStoreHitRestart(b *testing.B) {
 }
 
 // BenchmarkStoreHitWarm is the steady-state companion: the entry is
-// already mapped and verified, so a hit is two map lookups.
+// already read and verified, so a hit is one map lookup.
 func BenchmarkStoreHitWarm(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {
