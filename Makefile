@@ -24,7 +24,7 @@ bench:
 # bench-json runs the benchmark suite and writes the machine-readable
 # results committed with each PR (name, ns/op, B/op, allocs/op, and the
 # sim-cycles metric). Progress streams to stderr while it runs.
-BENCH_JSON ?= BENCH_PR26.json
+BENCH_JSON ?= BENCH_PR27.json
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 
@@ -37,24 +37,29 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem ./... | \
 		$(GO) run ./cmd/benchjson -compare $(BENCH_JSON) -threshold $(BENCH_THRESHOLD)
 
-# fuzz-short gives four readers of outside bytes a brief randomized
-# shakedown; the corpus seeds cover real payloads plus known-malformed
-# shapes. The experiment-spec parser must never panic and must re-parse
-# every spec it accepts, marshalled back to JSON, to the same canonical
-# encoding and hash (store recovery drops a sidecar that does not). The
-# columnar result decoder must reject every malformed blob without
-# panicking. Store recovery, over arbitrary sidecar and blob files, must
-# never panic and never serve a blob that differs from its sidecar's
-# length and SHA-256; its inputs are files on disk, and the default
-# minimisation of a new input stalls on them, so it gets 1 s. The fleet
-# router, over arbitrary job IDs in GET /v1/jobs/<id>, must never panic,
-# must send "<shard>.<local>" to exactly that shard at
-# /v1/jobs/<local>... and must contact no shard for any other ID.
+# fuzz-short gives four readers of outside bytes and one simulator
+# identity a brief randomized shakedown; the corpus seeds cover real
+# payloads plus known-malformed shapes. The experiment-spec parser must
+# never panic and must re-parse every spec it accepts, marshalled back
+# to JSON, to the same canonical encoding and hash (store recovery drops
+# a sidecar that does not). The columnar result decoder must reject
+# every malformed blob without panicking. Store recovery, over arbitrary
+# sidecar and blob files, must never panic and never serve a blob that
+# differs from its sidecar's length and SHA-256; its inputs are files on
+# disk, and the default minimisation of a new input stalls on them, so
+# it gets 1 s. The fleet router, over arbitrary job IDs in GET
+# /v1/jobs/<id>, must never panic, must send "<shard>.<local>" without
+# dot segments to exactly that shard, as the one request
+# /v1/jobs/<local>..., and must contact no shard for any other ID. The
+# simulator's loop kernels, over random programs on random machine
+# shapes, must leave the same sums, clock and counters as the per-access
+# loops they replace.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonical -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/colres
 	$(GO) test -run '^$$' -fuzz FuzzStoreRecover -fuzztime 10s -fuzzminimizetime 1s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzRouteJobID -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzKernelIdentity -fuzztime 10s ./internal/core
 
 # twin-validate runs every analytical twin against a full simulator
 # sweep at the fast geometry and fails when any family's median cycles
@@ -226,7 +231,8 @@ saturate-smoke:
 
 # ci is the pre-PR gate: formatting, vet, build, full tests, the race
 # detector over the short suite, a short fuzz of the spec parser, the
-# columnar decoder, store recovery and the router's job-ID routing, the
+# columnar decoder, store recovery, the router's job-ID routing and the
+# simulator's loop kernels, the
 # analytical twin validation (fast geometry, hard error bounds), the
 # paper-size per-cell goldens, the service and fleet smoke tests, and a
 # warn-only benchmark diff

@@ -15,7 +15,8 @@ import (
 
 // TestSimHotPathAllocs requires the steady-state access path — repeat
 // loads and stores hitting the same resident L1 line, ordinary or
-// remapped — to allocate nothing at all.
+// remapped, and the loop kernels over resident lines — to allocate
+// nothing at all.
 func TestSimHotPathAllocs(t *testing.T) {
 	s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse})
 	if err != nil {
@@ -29,6 +30,18 @@ func TestSimHotPathAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { s.StoreF64(x, 2.5) }); avg != 0 {
 		t.Errorf("L1-hit store allocates %.2f per op, want 0", avg)
+	}
+
+	// The loop kernels over resident lines: a dot product, and a sparse
+	// row product whose column indices (zeros) sit beside its values.
+	idx := x + 256
+	s.DotF64(0, x, 8, x+64, 8, 4, 6)
+	s.IndexedDotF64(0, idx, x, x+64, 0, 4, 4)
+	if avg := testing.AllocsPerRun(1000, func() { s.DotF64(0, x, 8, x+64, 8, 4, 6) }); avg != 0 {
+		t.Errorf("DotF64 over resident lines allocates %.2f per op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { s.IndexedDotF64(0, idx, x, x+64, 0, 4, 4) }); avg != 0 {
+		t.Errorf("IndexedDotF64 over resident lines allocates %.2f per op, want 0", avg)
 	}
 
 	// The same on a remapped line: a strided alias resident in the L1.

@@ -268,6 +268,20 @@ func BenchmarkSimL1Hit(b *testing.B) {
 	}
 }
 
+// BenchmarkSimDotHit measures the host cost of a simulated L1 load hit
+// inside a loop kernel: DotF64 with both streams on one resident line,
+// one op per load, so it reads beside BenchmarkSimL1Hit.
+func BenchmarkSimDotHit(b *testing.B) {
+	s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := s.MustAlloc(4096, 0)
+	s.LoadF64(x)
+	b.ResetTimer()
+	s.DotF64(0, x, 0, x+8, 0, uint64(b.N+1)/2, 0)
+}
+
 // residentShadowLine builds a system whose first strided-alias line is
 // resident in the L1 and in the fast table: row 0 of a 32x32 tile of a
 // 256x256 matrix, remapped as Table 2's tile remapping does, loaded once

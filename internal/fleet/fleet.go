@@ -66,7 +66,8 @@ type Config struct {
 	HealthInterval time.Duration
 	// Client serves proxied requests. Nil gets a transport tuned for
 	// many concurrent same-host requests (the saturation harness drives
-	// 10k+ req/s through this client).
+	// 10k+ req/s through this client). The router uses a copy that
+	// relays a shard's redirect instead of following it.
 	Client *http.Client
 	// Logger receives routing and health-transition logs; nil discards.
 	Logger *slog.Logger
@@ -139,6 +140,12 @@ func New(cfg Config) (*Router, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
+	// A proxied request goes where the router routed it and nowhere
+	// else: a shard's redirect (its mux redirects a path with empty or
+	// dot segments to the clean form) goes back to the client as is.
+	client := *rt.client
+	client.CheckRedirect = func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }
+	rt.client = &client
 	rt.probe = &http.Client{Timeout: 2 * time.Second}
 	for i, sc := range cfg.Shards {
 		name := sc.Name

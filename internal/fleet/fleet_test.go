@@ -199,6 +199,49 @@ func TestJobProxyByPrefix(t *testing.T) {
 	}
 }
 
+// TestJobPathDotSegments: a local ID or subpath that decodes to a `.` or
+// `..` segment is refused without contacting the shard, which would
+// otherwise resolve it to a path outside /v1/jobs/; and a redirect the
+// shard answers goes back to the client instead of being followed.
+func TestJobPathDotSegments(t *testing.T) {
+	f := newFakeShard(t)
+	rt, _ := newTestRouter(t, []ShardConfig{{Name: "s0", URL: f.srv.URL}})
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	get := func(path string) (*http.Response, []string) {
+		t.Helper()
+		seen := len(f.requests(0))
+		resp, err := client.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp, f.requests(seen)
+	}
+
+	for _, path := range []string{
+		"/v1/jobs/s0.%2e%2e/%2e%2e/healthz",
+		"/v1/jobs/s0.j-1/%2e%2e/%2e%2e/healthz",
+		"/v1/jobs/s0.%2e",
+	} {
+		resp, got := get(path)
+		if resp.StatusCode != http.StatusBadRequest || len(got) > 0 {
+			t.Errorf("GET %s: status %d, shard received %q; want 400 and nothing", path, resp.StatusCode, got)
+		}
+	}
+
+	// The shard's mux redirects a path with an empty segment to its
+	// clean form; the router relays that answer.
+	resp, got := get("/v1/jobs/s0.j-1/a%2F%2Fb")
+	if resp.StatusCode != http.StatusMovedPermanently || len(got) != 1 || got[0] != "/v1/jobs/j-1/a//b" {
+		t.Errorf("shard redirect: status %d, shard received %q; want 301 relayed after one request", resp.StatusCode, got)
+	}
+}
+
 // TestTwinAnsweredLocally: a twin-eligible submission never touches a
 // shard; its unprefixed job round-trips through the router to the local
 // service, result included.

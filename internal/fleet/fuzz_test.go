@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,13 +16,15 @@ import (
 // service. The invariants are judged on the path the mux hands the
 // router, since ServeMux answers a path with `.` or `..` segments by
 // redirecting to the clean form, which reaches no handler. The handler
-// must never panic; an ID "<shard>.<local>" with a known shard and a
-// non-empty local ID must reach exactly that shard, whose first request
-// is GET /v1/jobs/<local><rest>; any other ID must contact no shard.
+// must never panic; an ID "<shard>.<local>" with a known shard, a
+// non-empty local ID and no `.` or `..` segment in the decoded
+// /v1/jobs/<local><rest> must reach exactly that shard, which receives
+// that one request and no other (a shard's redirect is relayed, not
+// followed); any other ID must contact no shard.
 func FuzzRouteJobID(f *testing.F) {
 	for _, id := range []string{
 		"s0.j-000001", "s1.j-000002/result", "s0.", ".j-1", "s9.j-1",
-		"s0.j-1/../../metrics", "",
+		"s0.j-1/../../metrics", "", "s0.%2e%2e/%2e%2e/healthz",
 	} {
 		f.Add(id)
 	}
@@ -49,17 +52,20 @@ func FuzzRouteJobID(f *testing.F) {
 		if p := req.URL.EscapedPath(); cleanPath(p) == p {
 			jobID, rest, hasRest := strings.Cut(strings.TrimPrefix(req.URL.Path, "/v1/jobs/"), "/")
 			if name, local, ok := strings.Cut(jobID, "."); ok && local != "" && fakes[name] != nil {
-				owner, want = name, "/v1/jobs/"+local
+				want = "/v1/jobs/" + local
 				if hasRest {
 					want += "/" + rest
+				}
+				if segs := strings.Split(want, "/"); !slices.Contains(segs, ".") && !slices.Contains(segs, "..") {
+					owner = name
 				}
 			}
 		}
 		for name, fs := range fakes {
 			got := fs.requests(seen[name])
 			switch {
-			case name == owner && (len(got) == 0 || got[0] != want):
-				t.Fatalf("path %q: shard %s received %q, want first %q", req.URL.Path, name, got, want)
+			case name == owner && (len(got) != 1 || got[0] != want):
+				t.Fatalf("path %q: shard %s received %q, want exactly [%q]", req.URL.Path, name, got, want)
 			case name != owner && len(got) > 0:
 				t.Fatalf("path %q: shard %s received %q, want nothing (owner %q)", req.URL.Path, name, got, owner)
 			}

@@ -170,7 +170,10 @@ func (rt *Router) relaySubmit(w http.ResponseWriter, resp *http.Response, sh *sh
 
 // handleJob routes /v1/jobs/{id}/... by the ID's shard prefix: a
 // namespaced ID streams through to its owner (SSE included); an
-// unprefixed ID is a router-local (twin) job.
+// unprefixed ID is a router-local (twin) job. A forwarded path is the
+// decoded one, so a local ID or subpath that decodes to a `.` or `..`
+// segment (say `s0.%2e%2e/%2e%2e/healthz`) is refused: on the shard it
+// would name a path outside /v1/jobs/.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	id := rest
@@ -183,8 +186,22 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	path := "/v1/jobs/" + local + strings.TrimPrefix(rest, id)
+	if hasDotSegment(path) {
+		writeError(w, http.StatusBadRequest, "job path %q has a dot segment", r.URL.Path)
+		return
+	}
 	sh.routed.Add(1)
 	rt.proxyStream(w, r, sh, path)
+}
+
+// hasDotSegment reports whether path has a `.` or `..` segment.
+func hasDotSegment(path string) bool {
+	for _, seg := range strings.Split(path, "/") {
+		if seg == "." || seg == ".." {
+			return true
+		}
+	}
+	return false
 }
 
 // proxyBufs recycles proxyStream's copy buffers. A fresh 32 KB buffer

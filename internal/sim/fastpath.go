@@ -22,11 +22,12 @@
 //     can skip it) — invalidates every entry (fastInvalidateAll).
 //     Controller TLB and buffer invalidations change timing only, not
 //     resolution, and do not invalidate. Invalidation is by generation:
-//     an entry is live only while its stamp equals fastVecGen, so
-//     invalidating is one increment instead of a table scan (remap-heavy
-//     runs invalidate thousands of times); only at the (never in
-//     practice) 2^32 wrap, where stale stamps could collide, does a real
-//     scan clear the table. Entries are only populated when the
+//     an entry of the line table or of the page memo is live only while
+//     its stamp equals fastVecGen, so invalidating is one increment
+//     instead of a scan (remap-heavy runs invalidate thousands of times,
+//     and every TLB miss invalidates); only at the (never in practice)
+//     2^32 wrap, where stale stamps could collide, does a real scan clear
+//     both. Entries are only populated when the
 //     translation is offset-preserving across the whole L1 line (never
 //     across a block-entry boundary), so one cached base serves every
 //     element in the line.
@@ -56,7 +57,14 @@
 //     advance, trace and observability events. A load's accounting is
 //     applied inline from a latency and histogram bucket New precomputes,
 //     and its data moves through the host page the entry keeps, so the
-//     hit makes no call.
+//     hit makes no call. The loop kernels (kernels.go) go one step
+//     further: a hit only counts itself, and the counts and the clock are
+//     committed in bulk (commitBatch) before every reference-path call
+//     and at return. Every effect of a hit is a sum (Loads, L1LoadHits,
+//     LoadCycles, the latency bucket, Count, Total, Instructions and the
+//     clock) or a maximum over its one constant latency (Max), so n hits
+//     committed at once equal n committed one by one, and the reference
+//     path never runs on counts that lag behind it.
 //
 // The entry's host page is the membuf page that backs the line's data.
 // It is nil when the line's bytes straddle a page boundary, which a
@@ -66,18 +74,19 @@
 //
 // Shadow (remapped) lines enter the table only when the controller maps
 // the whole L1 line, through a Direct or Strided descriptor, onto one
-// physically contiguous run (mc.Controller.LineBase). The entry then
-// keeps that run's base beside the bus-line base: a committed access moves
-// data at base + line offset, exactly where the controller's resolution
-// puts every byte of the line, and reports the shadow bus address in its
-// trace event. The base need not be line-aligned: a stride or target that
-// is not a multiple of the line puts objects anywhere in physical memory.
-// An access that spills past the end of a shadow line falls back, since
-// the next line resolves on its own. Gather lines never enter: their
-// resolution reads the indirection vector from simulated memory, and a
-// CPU store can rewrite that vector without any controller operation.
-// Controller-buffer interactions happen only on fills, which run the
-// reference path in every case.
+// physically contiguous run (mc.Controller.LineBase). The reference path
+// asks once per shadow access (lineData), and that one answer serves both
+// the access's data and the entry. The entry keeps the run's base beside
+// the bus-line base: a committed access moves data at base + line offset,
+// exactly where the controller's resolution puts every byte of the line,
+// and reports the shadow bus address in its trace event. The base need not
+// be line-aligned: a stride or target that is not a multiple of the line
+// puts objects anywhere in physical memory. An access that spills past the
+// end of a shadow line falls back, since the next line resolves on its
+// own. Gather lines never enter: their resolution reads the indirection
+// vector from simulated memory, and a CPU store can rewrite that vector
+// without any controller operation. Controller-buffer interactions happen
+// only on fills, which run the reference path in every case.
 //
 // Config.DisableFastPath forces every access through the reference
 // path; the differential tests compare the two end to end. Because a
@@ -91,13 +100,23 @@ import (
 	"impulse/internal/addr"
 )
 
-// fastPageWays is the page-translation memo capacity (see the memo's
+// fastPageSlots is the page-translation memo's size: a direct-mapped
+// memo indexed by the low bits of the virtual page number (see the memo's
 // field comment in machine.go).
-const fastPageWays = 4
+const fastPageSlots = 64
 
 // fastInvalid is the vline sentinel for an empty fast-path entry (no
-// real virtual line is all-ones).
+// real virtual line is all-ones) and the page sentinel for an empty memo
+// entry.
 const fastInvalid = ^uint64(0)
+
+// fastPage is one entry of the page-translation memo: a virtual page,
+// the frame the TLB translated it to, and the generation it is live
+// under.
+type fastPage struct {
+	page, frame uint64
+	gen         uint32
+}
 
 // fastEntry describes the line in one L1 slot: its virtual line, the bus
 // line that translates to, the physical base holding the line's data and
@@ -108,6 +127,16 @@ type fastEntry struct {
 	dbase uint64               // physical address of the line's first byte; != pbase iff shadow
 	page  *[addr.PageSize]byte // host page holding the line's bytes; nil if they straddle pages
 	gen   uint32               // liveness stamp; dead unless equal to fastVecGen
+}
+
+// commits reports whether e commits an access to the line vline under
+// generation gen that does (inLine) or does not lie inside the line: the
+// entry must be live for vline, and an access that spills past its line
+// commits only on an ordinary line, because the next shadow line
+// resolves on its own. fastLoad, fastStore and the loop kernels all
+// decide by it.
+func (e *fastEntry) commits(vline uint64, gen uint32, inLine bool) bool {
+	return e.vline == vline && e.gen == gen && (inLine || e.dbase == e.pbase)
 }
 
 // fastInvalidateAll kills every fast-path entry and the page-translation
@@ -121,9 +150,9 @@ func (m *Machine) fastInvalidateAll() {
 		for i := range m.fastVec {
 			m.fastVec[i].vline = fastInvalid
 		}
-	}
-	for i := range m.fastPages {
-		m.fastPages[i] = fastInvalid
+		for i := range m.fastPages {
+			m.fastPages[i].page = fastInvalid
+		}
 	}
 }
 
@@ -136,13 +165,14 @@ func (m *Machine) fastKill(slot int) {
 }
 
 // fastPopulate makes slot's entry describe the line containing v, which
-// translated to p and which slot holds as a demanded copy. Population is
+// translated to p and which slot holds as a demanded copy; dbase and
+// whole are the line's data base as lineData resolved it. Population is
 // the only place the entry invariants are established. A line the table
 // cannot serve leaves the entry as it is: the slot's fill killed it, and
 // on a hit the slot's line did not change.
-func (m *Machine) fastPopulate(v addr.VAddr, p addr.PAddr, slot int) {
-	if !m.fastOn {
-		return
+func (m *Machine) fastPopulate(v addr.VAddr, p addr.PAddr, dbase uint64, whole bool, slot int) {
+	if !m.fastOn || !whole {
+		return // a shadow line no one physical run holds (see lineData)
 	}
 	off := uint64(v) & m.l1LineMask
 	if off != uint64(p)&m.l1LineMask {
@@ -160,17 +190,6 @@ func (m *Machine) fastPopulate(v addr.VAddr, p addr.PAddr, slot int) {
 		}
 	}
 	pbase := uint64(p) - off
-	dbase := pbase
-	if m.MC.IsShadow(p) {
-		// Only a line the controller maps onto one contiguous physical
-		// run (Direct or Strided, never Gather) can be served from one
-		// cached data base.
-		d, ok := m.MC.LineBase(addr.PAddr(pbase), m.cfg.L1.LineBytes)
-		if !ok {
-			return
-		}
-		dbase = uint64(d)
-	}
 	var page *[addr.PageSize]byte
 	if dbase&addr.PageMask+m.cfg.L1.LineBytes <= addr.PageSize {
 		page = m.Mem.Page(addr.PAddr(dbase))
@@ -211,13 +230,10 @@ func (m *Machine) fastLoad(v addr.VAddr, size uint64) (uint64, bool) {
 		slot = uint64(i)
 	}
 	e := &m.fastVec[slot]
-	if e.vline != vline || e.gen != m.fastVecGen {
-		return 0, false
-	}
 	off := uint64(v) & m.l1LineMask
 	inLine := off+size <= m.l1LineMask+1
-	if !inLine && e.dbase != e.pbase {
-		return 0, false // spills into the next shadow line, which resolves on its own
+	if !e.commits(vline, m.fastVecGen, inLine) {
+		return 0, false
 	}
 	if m.fastWays > 1 {
 		m.L1.Touch(int(slot))
@@ -288,13 +304,10 @@ func (m *Machine) fastStore(v addr.VAddr, size, val uint64) bool {
 		slot = uint64(i)
 	}
 	e := &m.fastVec[slot]
-	if e.vline != vline || e.gen != m.fastVecGen {
-		return false
-	}
 	off := uint64(v) & m.l1LineMask
 	inLine := off+size <= m.l1LineMask+1
-	if !inLine && e.dbase != e.pbase {
-		return false // spills into the next shadow line (see fastLoad)
+	if !e.commits(vline, m.fastVecGen, inLine) {
+		return false
 	}
 	if m.fastWays > 1 {
 		m.L1.Touch(int(slot))

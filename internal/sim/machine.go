@@ -96,20 +96,21 @@ type Machine struct {
 	// by fastInvalidateAll alongside the line table). It serves the
 	// accesses the line table does not: first touches of a line, L2 hits
 	// and misses, and Gather shadow lines, which stream through pages
-	// sequentially, so this memo keeps their translation cost flat. Four
-	// entries with round-robin replacement, because the CG inner loops
-	// interleave three-plus streams on different pages and a one-entry
-	// memo thrashed between them. Empty entries hold fastInvalid (no
-	// virtual page number is all-ones).
-	fastPages    [fastPageWays]uint64
-	fastFrames   [fastPageWays]uint64
-	fastPageNext uint8
+	// sequentially, so this memo keeps their translation cost flat. It is
+	// direct-mapped, indexed by the low bits of the virtual page number:
+	// the CG inner loops interleave three-plus streams on different pages,
+	// and a no-copy tile's column walk spans 16 pages, more than a small
+	// associative memo holds. Like the line table it is invalidated by
+	// generation: an entry is live only while its stamp equals fastVecGen,
+	// so the invalidation every TLB miss makes costs no scan.
+	fastPages [fastPageSlots]fastPage
 
 	l1LineMask uint64
 	l2LineMask uint64
 
-	// runScratch backs the MC.ResolveInto calls in readValue/writeValue,
-	// keeping the shadow data path allocation-free.
+	// runScratch backs the MC.ResolveInto calls in readValue/writeValue
+	// (shadow accesses no one run of their line holds), keeping the
+	// shadow data path allocation-free.
 	runScratch []mc.Run
 
 	tracer Tracer
@@ -213,12 +214,15 @@ func (m *Machine) Now() timeline.Time { return m.clock }
 // retires w per cycle.
 func (m *Machine) Tick(n uint64) {
 	m.St.Instructions += n
-	w := m.cfg.IssueWidth
-	if w <= 1 {
-		m.clock += n
-		return
+	m.clock += m.tickCycles(n)
+}
+
+// tickCycles is the clock advance of n instructions of non-memory work.
+func (m *Machine) tickCycles(n uint64) uint64 {
+	if w := m.cfg.IssueWidth; w > 1 {
+		return (n + w - 1) / w
 	}
-	m.clock += (n + w - 1) / w
+	return n
 }
 
 // SetL1Prefetch toggles the L1 next-line prefetcher.
@@ -278,19 +282,13 @@ func (m *Machine) translate(v addr.VAddr) addr.PAddr {
 		}
 	}
 	page := v.PageNum()
-	for i := range m.fastPages {
-		if m.fastPages[i] == page {
-			return addr.PAddr(m.fastFrames[i]<<addr.PageShift | v.PageOff())
-		}
+	memo := &m.fastPages[page&(fastPageSlots-1)]
+	if memo.page == page && memo.gen == m.fastVecGen {
+		return addr.PAddr(memo.frame<<addr.PageShift | v.PageOff())
 	}
 	if frame, ok := m.TLB.Lookup(page); ok {
 		if m.fastOn {
-			i := m.fastPageNext
-			m.fastPageNext++
-			if m.fastPageNext == fastPageWays {
-				m.fastPageNext = 0
-			}
-			m.fastPages[i], m.fastFrames[i] = page, frame
+			memo.page, memo.frame, memo.gen = page, frame, m.fastVecGen
 		}
 		return addr.PAddr(frame<<addr.PageShift | v.PageOff())
 	}
@@ -333,15 +331,48 @@ func (m *Machine) FlushTLBPage(v addr.VAddr) {
 
 // --- Functional data movement -------------------------------------------
 
-// readValue reads size bytes of actual data at bus address p, resolving
-// shadow addresses through the controller.
-func (m *Machine) readValue(p addr.PAddr, size uint64) uint64 {
+// lineData resolves the L1 line holding bus address p to the physical
+// address of its first byte: the line's own base for ordinary memory,
+// and for a shadow line the base of the one physically contiguous run
+// the controller maps the whole line onto (mc.Controller.LineBase). whole
+// is false for a shadow line no one run holds: a Gather line, or a
+// Strided line across objects that are not packed back to back. A
+// reference access resolves its line once here, and the answer serves
+// both its data (readValue, writeValue) and its fast-table entry
+// (fastPopulate).
+func (m *Machine) lineData(p addr.PAddr) (dbase uint64, whole bool) {
+	pbase := uint64(p) &^ m.l1LineMask
 	if !m.MC.IsShadow(p) {
+		return pbase, true
+	}
+	d, ok := m.MC.LineBase(addr.PAddr(pbase), m.cfg.L1.LineBytes)
+	return uint64(d), ok
+}
+
+// dataAddr returns the physical address of the size bytes at bus address
+// p, whose line lineData resolved to (dbase, whole), when they are one
+// contiguous run there: always for ordinary memory, and for a shadow
+// line held whole when the access stays inside it (the next shadow line
+// resolves on its own). Otherwise ok is false and the controller must
+// resolve the access itself.
+func (m *Machine) dataAddr(p addr.PAddr, size, dbase uint64, whole bool) (addr.PAddr, bool) {
+	off := uint64(p) & m.l1LineMask
+	if !whole || (off+size > m.l1LineMask+1 && dbase != uint64(p)-off) {
+		return 0, false
+	}
+	return addr.PAddr(dbase + off), true
+}
+
+// readValue reads size bytes of actual data at bus address p, whose line
+// lineData resolved to (dbase, whole), resolving the shadow accesses no
+// one run holds through the controller.
+func (m *Machine) readValue(p addr.PAddr, size, dbase uint64, whole bool) uint64 {
+	if d, ok := m.dataAddr(p, size, dbase, whole); ok {
 		switch size {
 		case 4:
-			return uint64(m.Mem.Load32(p))
+			return uint64(m.Mem.Load32(d))
 		case 8:
-			return m.Mem.Load64(p)
+			return m.Mem.Load64(d)
 		default:
 			panic(fmt.Sprintf("sim: unsupported access size %d", size))
 		}
@@ -370,13 +401,14 @@ func (m *Machine) readValue(p addr.PAddr, size uint64) uint64 {
 	return v
 }
 
-func (m *Machine) writeValue(p addr.PAddr, size, v uint64) {
-	if !m.MC.IsShadow(p) {
+// writeValue is readValue's store.
+func (m *Machine) writeValue(p addr.PAddr, size, v, dbase uint64, whole bool) {
+	if d, ok := m.dataAddr(p, size, dbase, whole); ok {
 		switch size {
 		case 4:
-			m.Mem.Store32(p, uint32(v))
+			m.Mem.Store32(d, uint32(v))
 		case 8:
-			m.Mem.Store64(p, v)
+			m.Mem.Store64(d, v)
 		default:
 			panic(fmt.Sprintf("sim: unsupported access size %d", size))
 		}
@@ -435,7 +467,8 @@ func (m *Machine) load(v addr.VAddr, size uint64) uint64 {
 func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	start := m.clock
 	p := m.translate(v)
-	value := m.readValue(p, size)
+	dbase, whole := m.lineData(p)
+	value := m.readValue(p, size, dbase, whole)
 
 	// L1 probe (virtually indexed, physically tagged). The fast table
 	// learns the line before any prefetch below can refill its slot. A
@@ -443,7 +476,7 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	// and fillL1 touches the L1.
 	r := m.L1.Lookup(uint64(v), uint64(p))
 	if r.Hit {
-		m.fastPopulate(v, p, r.Slot)
+		m.fastPopulate(v, p, dbase, whole, r.Slot)
 		done := m.clock + m.cfg.L1.HitCycles
 		if r.WasPrefetched {
 			m.St.L1PrefetchHits++
@@ -476,7 +509,7 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 		_, done := m.l2port.Acquire(missAt, m.cfg.L2.HitCycles)
 		m.St.L2LoadHits++
 		m.fillL1(r.Slot, p, done)
-		m.fastPopulate(v, p, r.Slot)
+		m.fastPopulate(v, p, dbase, whole, r.Slot)
 		m.finishLoad(start, done)
 		if m.tracer != nil {
 			m.traceLoad(v, p, size, start, LevelL2)
@@ -494,7 +527,7 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	_, probed := m.l2port.Acquire(missAt, m.cfg.L2MissProbeCycles)
 	done := m.memoryFill(p, probed, r2.Slot, false)
 	m.fillL1(r.Slot, p, done)
-	m.fastPopulate(v, p, r.Slot)
+	m.fastPopulate(v, p, dbase, whole, r.Slot)
 	m.St.MemLoads++
 	m.finishLoad(start, done)
 	if m.tracer != nil {
@@ -682,11 +715,12 @@ func (m *Machine) store(v addr.VAddr, size, val uint64) {
 func (m *Machine) storeTail(v addr.VAddr, size, val uint64) {
 	start := m.clock
 	p := m.translate(v)
-	m.writeValue(p, size, val)
+	dbase, whole := m.lineData(p)
+	m.writeValue(p, size, val, dbase, whole)
 
 	if slot, hit := m.L1.MarkDirty(uint64(v), uint64(p)); hit {
 		m.St.L1StoreHits++
-		m.fastPopulate(v, p, slot)
+		m.fastPopulate(v, p, dbase, whole, slot)
 	} else if slot, hit := m.L2.MarkDirty(uint64(p), uint64(p)); hit {
 		m.St.L2StoreHits++
 		m.l2port.Acquire(m.clock+1, m.cfg.L2MissProbeCycles)

@@ -9,11 +9,12 @@ import (
 // Batched stream accessors for unit-stride loops. Each issues exactly the
 // same per-element access sequence the equivalent Go loop would — same
 // counters, same cycles, same trace events — so adopting them never
-// changes simulation results. Their benefit is on the
-// host side: the per-element closure/interface overhead of a workload
-// loop collapses into one call, and the accesses run back-to-back through
-// the MRU fast path (fastpath.go), which unit-stride streams hit on every
-// element after the first per line.
+// changes simulation results. Their benefit is on the host side: the
+// per-element closure/interface overhead of a workload loop collapses
+// into one call, and the accesses run back-to-back through the fast
+// table (fastpath.go), which unit-stride streams hit on every element
+// after the first per line. Unlike the loop kernels (kernels.go), they
+// go through the per-access API and count each access as it happens.
 
 // StoreStreamI32 stores vals[i] at base + 4*i, as Store32 would.
 func (m *Machine) StoreStreamI32(base addr.VAddr, vals []int32) {

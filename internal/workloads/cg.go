@@ -298,14 +298,7 @@ func (c *cgState) smvpConventional(dst, src addr.VAddr) {
 	rowPrev := s.Load32(c.rows)
 	for i := 0; i < c.n; i++ {
 		rowNext := s.Load32(c.rows + addr.VAddr(4*(i+1)))
-		var sum float64
-		for j := rowPrev; j < rowNext; j++ {
-			col := s.Load32(c.cols + addr.VAddr(4*j))
-			v := s.LoadF64(c.vals + addr.VAddr(8*j))
-			xv := s.LoadF64(src + addr.VAddr(8*col))
-			sum += v * xv
-			s.Tick(cgInnerTicksConv)
-		}
+		sum := s.IndexedDotF64(0, c.cols, c.vals, src, uint64(rowPrev), uint64(rowNext), cgInnerTicksConv)
 		s.StoreF64(dst+addr.VAddr(8*i), sum)
 		s.Tick(cgOuterTicks)
 		rowPrev = rowNext
@@ -320,13 +313,9 @@ func (c *cgState) smvpGather(dst addr.VAddr) {
 	rowPrev := s.Load32(c.rows)
 	for i := 0; i < c.n; i++ {
 		rowNext := s.Load32(c.rows + addr.VAddr(4*(i+1)))
-		var sum float64
-		for j := rowPrev; j < rowNext; j++ {
-			v := s.LoadF64(c.vals + addr.VAddr(8*j))
-			xv := s.LoadF64(c.alias + addr.VAddr(8*j))
-			sum += v * xv
-			s.Tick(cgInnerTicksSG)
-		}
+		o := addr.VAddr(8 * uint64(rowPrev))
+		nz := uint64(max(rowNext, rowPrev) - rowPrev) // rows are monotone; a broken one has no nonzeros
+		sum := s.DotF64(0, c.vals+o, 8, c.alias+o, 8, nz, cgInnerTicksSG)
 		s.StoreF64(dst+addr.VAddr(8*i), sum)
 		s.Tick(cgOuterTicks)
 		rowPrev = rowNext
@@ -334,14 +323,7 @@ func (c *cgState) smvpGather(dst addr.VAddr) {
 }
 
 func (c *cgState) dot(a, b addr.VAddr) float64 {
-	s := c.s
-	var sum float64
-	for i := 0; i < c.n; i++ {
-		o := addr.VAddr(8 * i)
-		sum += s.LoadF64(a+o) * s.LoadF64(b+o)
-		s.Tick(cgVecTicks)
-	}
-	return sum
+	return c.s.DotF64(0, a, 8, b, 8, uint64(c.n), cgVecTicks)
 }
 
 // axpy: dst += alpha * src.

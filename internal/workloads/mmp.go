@@ -144,11 +144,9 @@ func mmpNoCopy(s *core.System, par MMPParams, a, b, c addr.VAddr) error {
 			for k0 := uint64(0); k0 < n; k0 += t {
 				for i := i0; i < i0+t; i++ {
 					for j := j0; j < j0+t; j++ {
+						// Row i of the A tile against column j of the B tile.
 						sum := s.LoadF64(at(c, i, j))
-						for k := k0; k < k0+t; k++ {
-							sum += s.LoadF64(at(a, i, k)) * s.LoadF64(at(b, k, j))
-							s.Tick(mmpInnerTicks)
-						}
+						sum = s.DotF64(sum, at(a, i, k0), 8, at(b, k0, j), 8*n, t, mmpInnerTicks)
 						s.StoreF64(at(c, i, j), sum)
 						s.Tick(2)
 					}
@@ -215,10 +213,7 @@ func mulTiles(s *core.System, t uint64, ta, tb, tc addr.VAddr) {
 	for i := uint64(0); i < t; i++ {
 		for j := uint64(0); j < t; j++ {
 			sum := s.LoadF64(tc + addr.VAddr(8*(i*t+j)))
-			for k := uint64(0); k < t; k++ {
-				sum += s.LoadF64(ta+addr.VAddr(8*(i*t+k))) * s.LoadF64(tb+addr.VAddr(8*(k*t+j)))
-				s.Tick(mmpInnerTicks)
-			}
+			sum = s.DotF64(sum, ta+addr.VAddr(8*i*t), 8, tb+addr.VAddr(8*j), 8*t, t, mmpInnerTicks)
 			s.StoreF64(tc+addr.VAddr(8*(i*t+j)), sum)
 			s.Tick(2)
 		}

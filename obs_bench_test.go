@@ -7,6 +7,7 @@ import (
 	"impulse"
 	"impulse/internal/mc"
 	"impulse/internal/obs"
+	"impulse/internal/stats"
 	"impulse/internal/workloads"
 )
 
@@ -49,6 +50,56 @@ func TestObsDoesNotPerturbTiming(t *testing.T) {
 		}
 		if hub.Trace().Len() == 0 {
 			t.Errorf("%v/%v: hub attached but no spans recorded", kind.Controller, kind.Prefetch)
+		}
+	}
+
+	// The tiled product and CG run their inner loops as loop kernels
+	// (sim.Machine.DotF64, IndexedDotF64), which count their hits in bulk
+	// only with no hub attached; under a hub every access takes the
+	// per-access path. Both must give the same value, clock and counters.
+	par := impulse.CGParams{N: 240, Nonzer: 4, Niter: 1, CGIts: 3, Shift: 10, RCond: 0.1}
+	m := impulse.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
+	for _, w := range []struct {
+		name string
+		run  func(*impulse.System) (float64, error)
+	}{
+		{"mmp-no-copy", func(s *impulse.System) (float64, error) {
+			r, err := impulse.RunMMP(s, impulse.MMPParams{N: 64, Tile: 16}, workloads.MMPNoCopyTiled)
+			return r.Checksum, err
+		}},
+		{"mmp-tile-remap", func(s *impulse.System) (float64, error) {
+			r, err := impulse.RunMMP(s, impulse.MMPParams{N: 64, Tile: 16}, workloads.MMPTileRemap)
+			return r.Checksum, err
+		}},
+		{"cg-conventional", func(s *impulse.System) (float64, error) {
+			r, err := impulse.RunCG(s, par, impulse.CGConventional, m)
+			return r.Zeta, err
+		}},
+		{"cg-scatter-gather", func(s *impulse.System) (float64, error) {
+			r, err := impulse.RunCG(s, par, impulse.CGScatterGather, m)
+			return r.Zeta, err
+		}},
+	} {
+		run := func(hub *obs.Hub) (float64, uint64, stats.MemStats) {
+			s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse, Prefetch: impulse.PrefetchBoth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.ReleaseBuffers()
+			if hub != nil {
+				s.AttachObs(hub)
+			}
+			v, err := w.run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v, s.Now(), s.Snapshot()
+		}
+		bareV, bareCycles, bareSt := run(nil)
+		obsV, obsCycles, obsSt := run(obs.New(obs.Config{TraceLimit: 1 << 20, Window: 1000}))
+		if bareV != obsV || bareCycles != obsCycles || bareSt != obsSt {
+			t.Errorf("%s: observability changed the run: value %v/%v, cycles %d/%d, counters equal %v (bare/observed)",
+				w.name, bareV, obsV, bareCycles, obsCycles, bareSt == obsSt)
 		}
 	}
 }
