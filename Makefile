@@ -21,20 +21,25 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-json runs the benchmark suite and writes the machine-readable
-# results committed with each PR (name, ns/op, B/op, allocs/op, and the
-# sim-cycles metric). Progress streams to stderr while it runs.
-BENCH_JSON ?= BENCH_PR27.json
+# bench-json runs the benchmark suite BENCH_COUNT times and writes the
+# machine-readable results committed with each PR: per benchmark the
+# median ns/op, B/op, allocs/op and sim-cycles metric over the runs, and
+# the interquartile range of ns/op. Progress streams to stderr while it
+# runs.
+BENCH_JSON ?= BENCH_PR28.json
+BENCH_COUNT ?= 5
 bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
+	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 
-# bench-diff reruns the suite and diffs it against the committed
-# baseline: per-benchmark ns/op deltas plus the sim-cycles metric (which
-# must not move in a pure-performance change). Exits non-zero when any
-# ns/op regression exceeds BENCH_THRESHOLD percent.
+# bench-diff reruns the suite BENCH_COUNT times and diffs the medians
+# against the committed baseline: per-benchmark ns/op deltas plus the
+# sim-cycles metric (which must not move in a pure-performance change).
+# Exits non-zero when any ns/op median rises by more than the baseline's
+# own spread (its interquartile range over its median; zero for a
+# baseline of one run) plus BENCH_THRESHOLD percent.
 BENCH_THRESHOLD ?= 10
 bench-diff:
-	$(GO) test -run '^$$' -bench . -benchmem ./... | \
+	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./... | \
 		$(GO) run ./cmd/benchjson -compare $(BENCH_JSON) -threshold $(BENCH_THRESHOLD)
 
 # fuzz-short gives four readers of outside bytes and one simulator

@@ -9,14 +9,15 @@ import (
 	"testing"
 
 	"impulse"
+	"impulse/internal/core"
 	"impulse/internal/obs"
 	"impulse/internal/workloads"
 )
 
 // TestSimHotPathAllocs requires the steady-state access path — repeat
 // loads and stores hitting the same resident L1 line, ordinary or
-// remapped, and the loop kernels over resident lines — to allocate
-// nothing at all.
+// remapped, and the loop kernels over resident lines and over lines that
+// miss L1 and hit L2 — to allocate nothing at all.
 func TestSimHotPathAllocs(t *testing.T) {
 	s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse})
 	if err != nil {
@@ -42,6 +43,15 @@ func TestSimHotPathAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { s.IndexedDotF64(0, idx, x, x+64, 0, 4, 4) }); avg != 0 {
 		t.Errorf("IndexedDotF64 over resident lines allocates %.2f per op, want 0", avg)
+	}
+
+	// A kernel's loads that miss L1 and hit L2, without and with the L1
+	// prefetcher.
+	for _, pf := range []core.PrefetchPolicy{impulse.PrefetchNone, impulse.PrefetchL1} {
+		_, walk := l2DotWalk(t, pf)
+		if avg := testing.AllocsPerRun(100, func() { walk(64) }); avg != 0 {
+			t.Errorf("DotF64 over L2-resident lines (prefetch %v) allocates %.2f per op, want 0", pf, avg)
+		}
 	}
 
 	// The same on a remapped line: a strided alias resident in the L1.

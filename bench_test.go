@@ -384,6 +384,54 @@ func BenchmarkSimL1PrefetchMiss(b *testing.B) {
 	}
 }
 
+// l2DotWalk builds a system whose L2 holds a 64 KB buffer, twice the
+// direct-mapped L1, and returns a DotF64 walk down two columns 32 KB
+// apart with a 64-byte stride: the two streams share every L1 set, so
+// each load misses L1 and hits L2, and a next-line prefetch fetches a
+// line the walk skips. walk(n) runs n loads.
+func l2DotWalk(tb testing.TB, pf core.PrefetchPolicy) (s *impulse.System, walk func(n int)) {
+	tb.Helper()
+	s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse, Prefetch: pf})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const span, half, stride = 64 << 10, 32 << 10, 64
+	x := s.MustAlloc(span, 0)
+	for off := uint64(0); off < span; off += 32 {
+		s.LoadF64(x + impulse.VAddr(off))
+	}
+	walk = func(n int) {
+		for n > 0 {
+			pairs := min(n/2+n%2, half/stride)
+			s.DotF64(0, x, stride, x+half, stride, uint64(pairs), 0)
+			n -= 2 * pairs
+		}
+	}
+	before := s.Snapshot()
+	walk(2 * half / stride)
+	if st := s.Snapshot(); st.L2LoadHits-before.L2LoadHits != 2*half/stride {
+		tb.Fatalf("%d of %d warm loads hit L2", st.L2LoadHits-before.L2LoadHits, 2*half/stride)
+	}
+	return s, walk
+}
+
+// BenchmarkSimDotL2Hit measures the host cost of a simulated load that
+// misses L1 and hits L2 inside a loop kernel, one op per load, without
+// and with the L1 next-line prefetcher; it reads beside
+// BenchmarkSimL2Hit and BenchmarkSimL1PrefetchMiss.
+func BenchmarkSimDotL2Hit(b *testing.B) {
+	for _, pf := range []struct {
+		name string
+		pf   core.PrefetchPolicy
+	}{{"none", impulse.PrefetchNone}, {"l1", impulse.PrefetchL1}} {
+		b.Run(pf.name, func(b *testing.B) {
+			_, walk := l2DotWalk(b, pf.pf)
+			b.ResetTimer()
+			walk(b.N)
+		})
+	}
+}
+
 // BenchmarkSimGatherLine measures the host cost of one gathered shadow
 // line (16 scattered elements through descriptor, PgTbl, and DRAM).
 func BenchmarkSimGatherLine(b *testing.B) {

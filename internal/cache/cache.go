@@ -128,22 +128,13 @@ type LookupResult struct {
 // updates LRU state on a hit. A miss reports the slot Fill should take,
 // found in the same pass, and touches nothing.
 func (c *Cache) Lookup(indexAddr, paddr uint64) LookupResult {
-	la := c.LineAddr(paddr)
 	if c.cfg.Ways == 1 {
 		// Direct-mapped: the candidate line is a single array slot.
-		i := c.SetIndex(indexAddr)
-		l := &c.lines[i]
-		if l.valid && l.lineAddr == la {
-			c.clock++
-			l.lastUse = c.clock
-			r := LookupResult{Hit: true, WasPrefetched: l.prefetched, Slot: int(i)}
-			l.prefetched = false
-			return r
-		}
-		return LookupResult{Slot: int(i)}
+		return c.LookupSlot(int(c.SetIndex(indexAddr)), paddr)
 	}
 	// Probe's pass, repeated: Lookup runs on every L1 miss, and calling
 	// a shared set loop here read about 15 % slower on BenchmarkSimL2Hit.
+	la := c.LineAddr(paddr)
 	base, set := c.set(indexAddr)
 	victim, oldest := 0, ^uint64(0)
 	for i := range set {
@@ -162,18 +153,58 @@ func (c *Cache) Lookup(indexAddr, paddr uint64) LookupResult {
 	return LookupResult{Slot: base + victim}
 }
 
+// LookupSlot is Lookup on a direct-mapped cache whose index selected
+// slot, small enough to inline into a caller's loop.
+func (c *Cache) LookupSlot(slot int, paddr uint64) LookupResult {
+	if !c.Holds(slot, paddr) {
+		return LookupResult{Slot: slot}
+	}
+	l := &c.lines[slot]
+	c.clock++
+	l.lastUse = c.clock
+	r := LookupResult{Hit: true, WasPrefetched: l.prefetched, Slot: slot}
+	l.prefetched = false
+	return r
+}
+
+// Holds reports whether slot holds the line containing paddr: Probe's
+// answer on a direct-mapped cache whose index selected slot. It touches
+// nothing.
+func (c *Cache) Holds(slot int, paddr uint64) bool {
+	l := &c.lines[slot]
+	return l.valid && l.lineAddr == paddr>>c.lineShift
+}
+
+// Probe2 is Probe(paddr, paddr) on a physically indexed cache of two
+// ways, small enough to inline into a caller's loop: the way holding the
+// line containing paddr and true, or the way a fill of that line would
+// take (the first invalid way, else the least recently used) and false.
+// It touches nothing.
+func (c *Cache) Probe2(paddr uint64) (slot int, hit bool) {
+	la := paddr >> c.lineShift
+	base := int(la&c.setMask) * 2
+	l0, l1 := &c.lines[base], &c.lines[base+1]
+	if l0.valid && l0.lineAddr == la {
+		return base, true
+	}
+	h1 := l1.valid && l1.lineAddr == la
+	if h1 || l1.lastUse < l0.lastUse {
+		base++
+	}
+	return base, h1
+}
+
 // Probe reports the slot holding the line containing paddr (indexed by
 // indexAddr) and true, or the slot a fill of that line would take and
 // false. It touches no state. The fill slot is the first invalid way,
 // else the least recently used one; Fill(slot, ...) after a miss
 // installs the line there, provided nothing changes the set in between.
 func (c *Cache) Probe(indexAddr, paddr uint64) (slot int, hit bool) {
-	la := c.LineAddr(paddr)
 	if c.cfg.Ways == 1 {
-		i := c.SetIndex(indexAddr)
-		l := &c.lines[i]
-		return int(i), l.valid && l.lineAddr == la
+		i := int(c.SetIndex(indexAddr))
+		return i, c.Holds(i, paddr)
 	}
+	la := c.LineAddr(paddr)
 	// An invalid way's lastUse is 0 and a valid way's at least 1, so the
 	// first way of least lastUse is the first invalid way, else the least
 	// recently used.

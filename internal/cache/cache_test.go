@@ -239,10 +239,13 @@ func wantVictim(c *Cache, indexAddr uint64) int {
 // through insert (a fresh Probe, then Fill), and its write-allocate is a
 // clean fill then a MarkDirty hit, two LRU clock ticks where the first
 // takes one. Both must report the same slots and evictions, every fill
-// slot must be wantVictim's, and both must answer every lookup alike.
+// slot must be wantVictim's, and both must answer every lookup alike;
+// Probe2 and Holds, the probes small enough to inline, must answer as
+// Probe does before every step.
 func TestFillMatchesInsert(t *testing.T) {
 	for _, cfg := range []Config{
 		L1Default(),
+		{Name: "2way", Bytes: 4096, LineBytes: 128, Ways: 2, HitCycles: 7},
 		{Name: "4way", Bytes: 4096, LineBytes: 32, Ways: 4, HitCycles: 1},
 	} {
 		t.Run(cfg.Name, func(t *testing.T) {
@@ -256,6 +259,20 @@ func TestFillMatchesInsert(t *testing.T) {
 				idx := a
 				if rng.Intn(2) == 0 {
 					idx = a ^ cfg.Bytes/2
+				}
+				// The inlinable probes answer as Probe does: Probe2 on two
+				// ways, physically indexed, and Holds on one way.
+				if cfg.Ways == 2 {
+					s1, h1 := byFill.Probe(a, a)
+					if s2, h2 := byFill.Probe2(a); s1 != s2 || h1 != h2 {
+						t.Fatalf("step %d: Probe2 (%d,%v), Probe (%d,%v)", step, s2, h2, s1, h1)
+					}
+				}
+				if cfg.Ways == 1 {
+					s1, h1 := byFill.Probe(idx, a)
+					if h2 := byFill.Holds(s1, a); h1 != h2 {
+						t.Fatalf("step %d: Holds %v, Probe (%d,%v)", step, h2, s1, h1)
+					}
 				}
 				switch rng.Intn(8) {
 				case 0:

@@ -18,14 +18,24 @@ import (
 // MemStats field.
 //
 // The machine byte picks the prefetch policy, issue width 1 or 2, the
-// paper's direct-mapped L1 or a 2-way VIPT L1, and the gather alias's L1
-// placement. The seed draws a program of up to 16 steps: kernel calls
-// (a row product repeated over neighbouring columns, as the tiled
+// paper's direct-mapped L1 or a 2-way VIPT L1, the gather alias's L1
+// placement, the paper's 2-way L2 or a 4-way one, and whether a block
+// entry is installed. The seed draws a program of up to 16 steps: kernel
+// calls (a row product repeated over neighbouring columns, as the tiled
 // product makes them) over a plain array larger than the TLB reaches, a
 // small one, a strided alias whose objects sit at a misaligned base and
-// straddle lines and pages, and a gather alias, at any byte offset and
-// strides from 0 to past a page; and, between calls, FlushTLB, range
-// flushes and purges, FlushAllCaches and stores.
+// straddle lines and pages, a gather alias, and the part of the small
+// array the block entry covers, at any byte offset and strides from 0 to
+// past a page; and, between calls, FlushTLB, range flushes and purges,
+// FlushAllCaches, stores, and per-access updates along a stream, which
+// leave dirty lines in the L1 for the kernels' fills to evict.
+//
+// Those choices reach every case kernelLoad's one-step L2 hit checks:
+// its preconditions (a 2-way L1, a 4-way L2, a block entry, a memo page
+// not yet learnt or shadow, an access past its line), each of its falls
+// (an L1 hit, often on a prefetched line still in flight, and an L2
+// miss), a dirty victim, and a next line inside the demand's L2 line or
+// across an L2 line or a page.
 func FuzzKernelIdentity(f *testing.F) {
 	for i := range 8 {
 		// One seed per machine shape; the program seeds are arbitrary.
@@ -83,15 +93,20 @@ const (
 	rigBigBytes   = 1 << 20 // 256 pages: twice what the TLB maps
 	rigSmallBytes = 64 << 10
 	rigIdxCount   = 16 << 10
-	rigIdxRange   = 8 << 10 // column values, below every region's element count
+	rigIdxRange   = 8 << 10 // column values, below the element count of the first four regions
+	// The block entry maps one page's worth of the small array, from
+	// mid-page to mid-page and mid-L2-line, onto a page of its own, so the
+	// page table and the block disagree about it and about nothing else.
+	rigBlockOff   = 3*addr.PageSize + 2080
+	rigBlockBytes = addr.PageSize
 )
 
 // kernelRig is one machine of the identity pair and the regions its
 // program addresses.
 type kernelRig struct {
 	s       *System
-	regions [4]rigRegion
-	idx     addr.VAddr // uint32[rigIdxCount], values in [0, rigIdxRange)
+	regions [5]rigRegion // big, small, strided, gather, the small array around the block entry
+	idx     addr.VAddr   // uint32[rigIdxCount], values in [0, rigIdxRange)
 }
 
 // rigRegion is a range a program addresses.
@@ -118,6 +133,9 @@ func newKernelRig(t *testing.T, c byte) *kernelRig {
 	cfg.IssueWidth = 1 + uint64(c>>2&1)
 	if c>>3&1 == 1 {
 		cfg.L1.Ways = 2
+	}
+	if c>>5&1 == 1 {
+		cfg.L2.Ways = 4
 	}
 	pf := []PrefetchPolicy{PrefetchNone, PrefetchMC, PrefetchL1, PrefetchBoth}[c&3]
 	s, err := NewSystem(Options{Controller: Impulse, Prefetch: pf, Config: &cfg})
@@ -164,7 +182,16 @@ func newKernelRig(t *testing.T, c byte) *kernelRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.regions = [4]rigRegion{{big, rigBigBytes}, {small, rigSmallBytes}, {strided.VA, strided.Bytes}, {gather, rigIdxCount * 8}}
+	r.regions = [5]rigRegion{{big, rigBigBytes}, {small, rigSmallBytes}, {strided.VA, strided.Bytes}, {gather, rigIdxCount * 8},
+		{small + 2*addr.PageSize, 8 * addr.PageSize}}
+	if c>>6&1 == 1 {
+		blk := s.MustAlloc(addr.PageSize, 0)
+		for i := uint64(0); i < addr.PageSize/8; i++ {
+			put(blk+addr.VAddr(8*i), math.Float64bits(float64(i)+0.5), 8)
+		}
+		p, _ := s.TranslateNoFault(blk)
+		s.InstallBlockTLB(small+rigBlockOff, p, rigBlockBytes)
+	}
 	s.ResetCachesUntimed()
 	return r
 }
@@ -172,7 +199,7 @@ func newKernelRig(t *testing.T, c byte) *kernelRig {
 // stream reads a region, a start offset and a stride, and bounds n so
 // that the n accesses of size bytes stay inside the region.
 func (r *kernelRig) stream(pr *program, n *uint64, size uint64) (addr.VAddr, uint64) {
-	reg := r.regions[pr.next()%4]
+	reg := r.regions[pr.next()%uint64(len(r.regions))]
 	off := pr.word() % (reg.bytes - size)
 	stride := kernelStrides[pr.next()%uint64(len(kernelStrides))]
 	if stride > 0 {
@@ -186,7 +213,7 @@ func (r *kernelRig) stream(pr *program, n *uint64, size uint64) (addr.VAddr, uin
 // description for failures.
 func (r *kernelRig) step(pr *program, kernels bool) (float64, string) {
 	s := r.s
-	switch op := pr.next() % 8; op {
+	switch op := pr.next() % 9; op {
 	case 0, 1, 2: // DotF64, repeated over neighbouring columns as the tiled product calls it
 		n := 1 + pr.word()%600
 		a, as := r.stream(pr, &n, 8)
@@ -211,9 +238,9 @@ func (r *kernelRig) step(pr *program, kernels bool) (float64, string) {
 	case 3: // IndexedDotF64 over the index vector, any values, any multiplicand region
 		lo := pr.word() % rigIdxCount
 		hi := min(lo+pr.next()*4, rigIdxCount)
-		vals := r.regions[pr.next()%4]
+		vals := r.regions[pr.next()%uint64(len(r.regions))]
 		voff := pr.word() % (vals.bytes - 8*(hi-lo+1))
-		x := r.regions[pr.next()%4].va
+		x := r.regions[pr.next()%4].va // the block region holds fewer than rigIdxRange elements
 		idx, va := r.idx, vals.va+addr.VAddr(voff)-addr.VAddr(8*lo)
 		acc, ticks := float64(pr.next())-128, pr.next()%8
 		if kernels {
@@ -231,7 +258,7 @@ func (r *kernelRig) step(pr *program, kernels bool) (float64, string) {
 		s.FlushTLB()
 		return 0, "FlushTLB"
 	case 5, 6: // flush or purge part of a region
-		reg := r.regions[pr.next()%4]
+		reg := r.regions[pr.next()%uint64(len(r.regions))]
 		off := pr.word() % reg.bytes
 		bytes := min(pr.word(), reg.bytes-off)
 		if op == 5 {
@@ -240,14 +267,22 @@ func (r *kernelRig) step(pr *program, kernels bool) (float64, string) {
 		}
 		s.PurgeVRange(reg.va+addr.VAddr(off), bytes)
 		return 0, "PurgeVRange"
-	default:
+	case 7:
 		if pr.next()%2 == 0 {
 			s.FlushAllCaches()
 			return 0, "FlushAllCaches"
 		}
-		reg := r.regions[pr.next()%4]
+		reg := r.regions[pr.next()%uint64(len(r.regions))]
 		off := pr.word() % (reg.bytes - 8)
 		s.StoreF64(reg.va+addr.VAddr(off), float64(pr.next())/7)
 		return 0, "StoreF64"
+	default: // y[k] = y[k]/2 + 1 along a stream, per access on both machines: the loads bring lines in, the stores dirty them
+		n := 1 + pr.word()%600
+		y, ys := r.stream(pr, &n, 8)
+		for k := uint64(0); k < n; k++ {
+			va := y + addr.VAddr(k*ys)
+			s.StoreF64(va, s.LoadF64(va)/2+1)
+		}
+		return 0, "update"
 	}
 }

@@ -58,13 +58,28 @@
 //     applied inline from a latency and histogram bucket New precomputes,
 //     and its data moves through the host page the entry keeps, so the
 //     hit makes no call. The loop kernels (kernels.go) go one step
-//     further: a hit only counts itself, and the counts and the clock are
-//     committed in bulk (commitBatch) before every reference-path call
-//     and at return. Every effect of a hit is a sum (Loads, L1LoadHits,
-//     LoadCycles, the latency bucket, Count, Total, Instructions and the
-//     clock) or a maximum over its one constant latency (Max), so n hits
-//     committed at once equal n committed one by one, and the reference
-//     path never runs on counts that lag behind it.
+//     further: a hit only counts itself and advances a clock the kernel
+//     keeps in a local, which it writes back before every reference-path
+//     call, and the counts are committed once, at return (commitBatch).
+//     Every effect of a hit is a sum (Loads, L1LoadHits, LoadCycles, the
+//     latency bucket, Count, Total, Instructions and the clock) or a
+//     maximum over its one constant latency (Max), so n hits committed
+//     at once equal n committed one by one; and the reference path reads
+//     the clock but never a counter, so it cannot tell counts that lag
+//     behind it. A kernel's L1 miss that hits L2 on a line the page memo
+//     maps as ordinary memory is served in one step too (kernelLoad):
+//     the fused fill replicates loadTail's L2-hit branch — the L2 LRU
+//     touch, the port reservation, L2LoadHits, the L1 fill, the slot's
+//     entry written in place as fastPopulate would write it, the dirty
+//     victim's write-down, the value through the host page, and the
+//     latency and clock — and the folded prefetch replicates
+//     maybeL1Prefetch for a next line in the demand's L2 line: the same
+//     frame, the L1 probe, the L2 Lookup hit (a touch of the demand's L2
+//     slot, which nothing since the demand's probe has moved), the port,
+//     L1Prefetches, the prefetch fill, its victim and its arrival time.
+//     Any other miss falls to the reference path with what the step
+//     found (its L1 Lookup hit, its L2 fill slot), having touched nothing
+//     the reference path would not.
 //
 // The entry's host page is the membuf page that backs the line's data.
 // It is nil when the line's bytes straddle a page boundary, which a
@@ -111,10 +126,15 @@ const fastPageSlots = 64
 const fastInvalid = ^uint64(0)
 
 // fastPage is one entry of the page-translation memo: a virtual page,
-// the frame the TLB translated it to, and the generation it is live
-// under.
+// the frame the TLB translated it to, the host page behind that frame
+// when it is ordinary memory (nil for a shadow frame, or one never
+// touched when the memo learned it), and the generation it is live
+// under. The host page lets a loop kernel's L1 miss read its data and
+// fill its fast entry without asking the controller or the memory
+// (kernelLoad); an entry without one only sends that miss to loadTail.
 type fastPage struct {
 	page, frame uint64
+	host        *[addr.PageSize]byte
 	gen         uint32
 }
 
@@ -189,11 +209,17 @@ func (m *Machine) fastPopulate(v addr.VAddr, p addr.PAddr, dbase uint64, whole b
 			break // fully inside the first matching entry: linear, and first-match stable
 		}
 	}
-	pbase := uint64(p) - off
 	var page *[addr.PageSize]byte
 	if dbase&addr.PageMask+m.cfg.L1.LineBytes <= addr.PageSize {
 		page = m.Mem.Page(addr.PAddr(dbase))
 	}
+	m.setEntry(slot, vline, uint64(p)-off, dbase, page)
+}
+
+// setEntry makes slot's entry live for the line vline, at bus line pbase,
+// whose data starts at dbase inside host page page. Its callers,
+// fastPopulate and kernelLoad, have established the entry invariants.
+func (m *Machine) setEntry(slot int, vline, pbase, dbase uint64, page *[addr.PageSize]byte) {
 	// Field by field, not a composite literal (see cache.Fill).
 	e := &m.fastVec[slot]
 	e.vline = vline

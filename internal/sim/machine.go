@@ -102,7 +102,10 @@ type Machine struct {
 	// and a no-copy tile's column walk spans 16 pages, more than a small
 	// associative memo holds. Like the line table it is invalidated by
 	// generation: an entry is live only while its stamp equals fastVecGen,
-	// so the invalidation every TLB miss makes costs no scan.
+	// so the invalidation every TLB miss makes costs no scan. An entry
+	// also keeps its frame's host page when the frame is ordinary memory,
+	// which is what lets a loop kernel's L1 miss skip translate, lineData
+	// and readValue (kernelLoad).
 	fastPages [fastPageSlots]fastPage
 
 	l1LineMask uint64
@@ -288,7 +291,11 @@ func (m *Machine) translate(v addr.VAddr) addr.PAddr {
 	}
 	if frame, ok := m.TLB.Lookup(page); ok {
 		if m.fastOn {
-			memo.page, memo.frame, memo.gen = page, frame, m.fastVecGen
+			p := addr.PAddr(frame << addr.PageShift)
+			memo.page, memo.frame, memo.gen, memo.host = page, frame, m.fastVecGen, nil
+			if !m.MC.IsShadow(p) {
+				memo.host = m.Mem.Page(p)
+			}
 		}
 		return addr.PAddr(frame<<addr.PageShift | v.PageOff())
 	}
@@ -476,58 +483,70 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	// and fillL1 touches the L1.
 	r := m.L1.Lookup(uint64(v), uint64(p))
 	if r.Hit {
-		m.fastPopulate(v, p, dbase, whole, r.Slot)
-		done := m.clock + m.cfg.L1.HitCycles
-		if r.WasPrefetched {
-			m.St.L1PrefetchHits++
-			if arr := m.l1Arrive[r.Slot]; arr > done {
-				done = arr // partial hit: data still in flight
-			}
-			// PA 7200-style streaming: consuming a prefetched line
-			// triggers the next prefetch, keeping streams ahead.
-			if m.cfg.L1Prefetch {
-				m.maybeL1Prefetch(v, p, done)
-			}
-		}
-		m.St.L1LoadHits++
-		m.finishLoad(start, done)
-		if m.tracer != nil {
-			m.traceLoad(v, p, size, start, LevelL1)
-		}
-		if m.obs != nil {
-			m.obsLoad(start, LevelL1)
-		}
+		m.loadHit(v, p, size, dbase, whole, start, r)
 		return value
 	}
 
 	// L1 miss: probe L2 (physically indexed). A miss reports the L2 slot
 	// memoryFill takes; nothing between here and that fill touches the
 	// L2.
-	missAt := m.clock + m.cfg.L1.HitCycles
 	r2 := m.L2.Lookup(uint64(p), uint64(p))
-	if r2.Hit {
-		_, done := m.l2port.Acquire(missAt, m.cfg.L2.HitCycles)
-		m.St.L2LoadHits++
-		m.fillL1(r.Slot, p, done)
-		m.fastPopulate(v, p, dbase, whole, r.Slot)
-		m.finishLoad(start, done)
-		if m.tracer != nil {
-			m.traceLoad(v, p, size, start, LevelL2)
+	if !r2.Hit {
+		m.loadMemory(v, p, size, dbase, whole, start, r.Slot, r2.Slot)
+		return value
+	}
+	_, done := m.l2port.Acquire(m.clock+m.cfg.L1.HitCycles, m.cfg.L2.HitCycles)
+	m.St.L2LoadHits++
+	m.fillL1(r.Slot, p, done)
+	m.fastPopulate(v, p, dbase, whole, r.Slot)
+	m.finishLoad(start, done)
+	if m.tracer != nil {
+		m.traceLoad(v, p, size, start, LevelL2)
+	}
+	if m.obs != nil {
+		m.obsLoad(start, LevelL2)
+	}
+	if m.cfg.L1Prefetch {
+		m.maybeL1Prefetch(v, p, done)
+	}
+	return value
+}
+
+// loadHit is the rest of the reference load at v, begun at start, which
+// translated to p on a line lineData resolved to (dbase, whole), after
+// its L1 Lookup hit with r.
+func (m *Machine) loadHit(v addr.VAddr, p addr.PAddr, size, dbase uint64, whole bool, start timeline.Time, r cache.LookupResult) {
+	m.fastPopulate(v, p, dbase, whole, r.Slot)
+	done := m.clock + m.cfg.L1.HitCycles
+	if r.WasPrefetched {
+		m.St.L1PrefetchHits++
+		if arr := m.l1Arrive[r.Slot]; arr > done {
+			done = arr // partial hit: data still in flight
 		}
-		if m.obs != nil {
-			m.obsLoad(start, LevelL2)
-		}
+		// PA 7200-style streaming: consuming a prefetched line
+		// triggers the next prefetch, keeping streams ahead.
 		if m.cfg.L1Prefetch {
 			m.maybeL1Prefetch(v, p, done)
 		}
-		return value
 	}
+	m.St.L1LoadHits++
+	m.finishLoad(start, done)
+	if m.tracer != nil {
+		m.traceLoad(v, p, size, start, LevelL1)
+	}
+	if m.obs != nil {
+		m.obsLoad(start, LevelL1)
+	}
+}
 
-	// L2 miss: memory access through bus and controller.
-	_, probed := m.l2port.Acquire(missAt, m.cfg.L2MissProbeCycles)
-	done := m.memoryFill(p, probed, r2.Slot, false)
-	m.fillL1(r.Slot, p, done)
-	m.fastPopulate(v, p, dbase, whole, r.Slot)
+// loadMemory is the rest of the reference load at v (see loadHit) after
+// its L1 Lookup missed with fill slot l1Slot and its L2 Lookup missed
+// with fill slot l2Slot: a memory access through bus and controller.
+func (m *Machine) loadMemory(v addr.VAddr, p addr.PAddr, size, dbase uint64, whole bool, start timeline.Time, l1Slot, l2Slot int) {
+	_, probed := m.l2port.Acquire(m.clock+m.cfg.L1.HitCycles, m.cfg.L2MissProbeCycles)
+	done := m.memoryFill(p, probed, l2Slot, false)
+	m.fillL1(l1Slot, p, done)
+	m.fastPopulate(v, p, dbase, whole, l1Slot)
 	m.St.MemLoads++
 	m.finishLoad(start, done)
 	if m.tracer != nil {
@@ -539,7 +558,6 @@ func (m *Machine) loadTail(v addr.VAddr, size uint64) uint64 {
 	if m.cfg.L1Prefetch {
 		m.maybeL1Prefetch(v, p, done)
 	}
-	return value
 }
 
 // traceLoad emits a load event (after finishLoad advanced the clock).

@@ -37,17 +37,22 @@ func (r *Resource) Observe(f AcquireObserver) { r.obs = f }
 // and no earlier than the end of any previous reservation. It returns the
 // reservation's start and end times.
 func (r *Resource) Acquire(at Time, dur uint64) (start, end Time) {
-	start = at
-	if r.busyUntil > start {
-		start = r.busyUntil
+	start, end = r.Reserve(at, dur)
+	if r.obs != nil {
+		r.obs(start, end)
 	}
+	return start, end
+}
+
+// Reserve is Acquire without the observer: a caller that knows none is
+// installed calls it where Acquire, whose observer call keeps it from
+// inlining, would cost a call.
+func (r *Resource) Reserve(at Time, dur uint64) (start, end Time) {
+	start = max(at, r.busyUntil)
 	end = start + dur
 	r.busyUntil = end
 	r.busyCycles += dur
 	r.uses++
-	if r.obs != nil {
-		r.obs(start, end)
-	}
 	return start, end
 }
 

@@ -68,14 +68,14 @@ func (t *TLB) Insert(key, value uint64) {
 		t.entries[i].ref = true
 		return
 	}
-	victim := -1
-	for i := range t.entries {
-		if !t.entries[i].valid {
-			victim = i
-			break
+	var victim int
+	if t.index.Len() < len(t.entries) {
+		// The index holds exactly the valid entries, so an invalid one
+		// exists: take the first.
+		for t.entries[victim].valid {
+			victim++
 		}
-	}
-	if victim < 0 {
+	} else {
 		victim = t.nruVictim()
 		t.index.Delete(t.entries[victim].key)
 	}
@@ -83,6 +83,8 @@ func (t *TLB) Insert(key, value uint64) {
 	t.index.Put(key, int32(victim))
 }
 
+// nruVictim picks the victim in a full TLB: the first entry with a clear
+// referenced bit, else entry 0 after clearing every bit.
 func (t *TLB) nruVictim() int {
 	for i := range t.entries {
 		if !t.entries[i].ref {

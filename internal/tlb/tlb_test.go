@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -151,5 +152,101 @@ func TestQuickConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// twoPassTLB is the replacement rule spelled out the long way, as a
+// reference for TestInsertMatchesTwoPass: a linear array searched key by
+// key, whose insert first scans for an invalid entry and only then, in a
+// second pass, for the first unreferenced one, clearing every referenced
+// bit and taking entry 0 when all are set.
+type twoPassTLB struct{ entries []entry }
+
+func (r *twoPassTLB) lookup(key uint64) (uint64, bool) {
+	for i := range r.entries {
+		if e := &r.entries[i]; e.valid && e.key == key {
+			e.ref = true
+			return e.value, true
+		}
+	}
+	return 0, false
+}
+
+func (r *twoPassTLB) insert(key, value uint64) {
+	for i := range r.entries {
+		if e := &r.entries[i]; e.valid && e.key == key {
+			e.value, e.ref = value, true
+			return
+		}
+	}
+	victim := -1
+	for i := range r.entries {
+		if !r.entries[i].valid {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		for i := range r.entries {
+			if !r.entries[i].ref {
+				victim = i
+				break
+			}
+		}
+	}
+	if victim < 0 {
+		for i := range r.entries {
+			r.entries[i].ref = false
+		}
+		victim = 0
+	}
+	r.entries[victim] = entry{key: key, value: value, valid: true, ref: true}
+}
+
+func (r *twoPassTLB) invalidate(key uint64) {
+	for i := range r.entries {
+		if e := &r.entries[i]; e.valid && e.key == key {
+			*e = entry{}
+		}
+	}
+}
+
+// TestInsertMatchesTwoPass drives the TLB and the two-pass reference
+// through the same random stream of lookups (which set referenced bits),
+// inserts, invalidations and rare full flushes, over keys from a range
+// about twice the capacity, and requires the same lookup answers and the
+// same entries, slot by slot, after every operation.
+func TestInsertMatchesTwoPass(t *testing.T) {
+	for _, capacity := range []int{1, 4, 128} {
+		tl := New(capacity)
+		ref := &twoPassTLB{entries: make([]entry, capacity)}
+		rng := rand.New(rand.NewPCG(uint64(capacity), 1))
+		keys := uint64(2*capacity + 1)
+		for step := 0; step < 200000; step++ {
+			key := rng.Uint64N(keys)
+			switch op := rng.IntN(100); {
+			case op < 50:
+				v1, ok1 := tl.Lookup(key)
+				v2, ok2 := ref.lookup(key)
+				if v1 != v2 || ok1 != ok2 {
+					t.Fatalf("capacity %d step %d: Lookup(%d) = %d,%v, reference %d,%v", capacity, step, key, v1, ok1, v2, ok2)
+				}
+			case op < 90:
+				v := rng.Uint64()
+				tl.Insert(key, v)
+				ref.insert(key, v)
+			case op < 99:
+				tl.Invalidate(key)
+				ref.invalidate(key)
+			default:
+				tl.InvalidateAll()
+				clear(ref.entries)
+			}
+			for i := range ref.entries {
+				if tl.entries[i] != ref.entries[i] {
+					t.Fatalf("capacity %d step %d: entry %d is %+v, reference %+v", capacity, step, i, tl.entries[i], ref.entries[i])
+				}
+			}
+		}
 	}
 }

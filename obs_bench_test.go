@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"impulse"
+	"impulse/internal/core"
 	"impulse/internal/mc"
 	"impulse/internal/obs"
 	"impulse/internal/stats"
@@ -55,33 +56,40 @@ func TestObsDoesNotPerturbTiming(t *testing.T) {
 
 	// The tiled product and CG run their inner loops as loop kernels
 	// (sim.Machine.DotF64, IndexedDotF64), which count their hits in bulk
-	// only with no hub attached; under a hub every access takes the
-	// per-access path. Both must give the same value, clock and counters.
+	// and serve a miss that hits L2 in one step (with the L1 prefetcher's
+	// next line folded in) only with no hub attached; under a hub every
+	// access takes the per-access path. Both must give the same value,
+	// clock and counters.
 	par := impulse.CGParams{N: 240, Nonzer: 4, Niter: 1, CGIts: 3, Shift: 10, RCond: 0.1}
 	m := impulse.MakeA(par.N, par.Nonzer, par.RCond, par.Shift)
 	for _, w := range []struct {
 		name string
+		pf   core.PrefetchPolicy
 		run  func(*impulse.System) (float64, error)
 	}{
-		{"mmp-no-copy", func(s *impulse.System) (float64, error) {
+		{"mmp-no-copy", impulse.PrefetchBoth, func(s *impulse.System) (float64, error) {
 			r, err := impulse.RunMMP(s, impulse.MMPParams{N: 64, Tile: 16}, workloads.MMPNoCopyTiled)
 			return r.Checksum, err
 		}},
-		{"mmp-tile-remap", func(s *impulse.System) (float64, error) {
+		{"mmp-no-copy-l1", impulse.PrefetchL1, func(s *impulse.System) (float64, error) {
+			r, err := impulse.RunMMP(s, impulse.MMPParams{N: 64, Tile: 16}, workloads.MMPNoCopyTiled)
+			return r.Checksum, err
+		}},
+		{"mmp-tile-remap", impulse.PrefetchBoth, func(s *impulse.System) (float64, error) {
 			r, err := impulse.RunMMP(s, impulse.MMPParams{N: 64, Tile: 16}, workloads.MMPTileRemap)
 			return r.Checksum, err
 		}},
-		{"cg-conventional", func(s *impulse.System) (float64, error) {
+		{"cg-conventional", impulse.PrefetchBoth, func(s *impulse.System) (float64, error) {
 			r, err := impulse.RunCG(s, par, impulse.CGConventional, m)
 			return r.Zeta, err
 		}},
-		{"cg-scatter-gather", func(s *impulse.System) (float64, error) {
+		{"cg-scatter-gather", impulse.PrefetchBoth, func(s *impulse.System) (float64, error) {
 			r, err := impulse.RunCG(s, par, impulse.CGScatterGather, m)
 			return r.Zeta, err
 		}},
 	} {
 		run := func(hub *obs.Hub) (float64, uint64, stats.MemStats) {
-			s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse, Prefetch: impulse.PrefetchBoth})
+			s, err := impulse.NewSystem(impulse.Options{Controller: impulse.Impulse, Prefetch: w.pf})
 			if err != nil {
 				t.Fatal(err)
 			}
